@@ -57,9 +57,9 @@ class Tensor:
     """A dense float64 array that records the ops applied to it.
 
     Leaves created with ``requires_grad=True`` are parameters: after
-    ``backward()`` their ``grad`` slot holds dL/dparam (overwritten, not
-    accumulated, on every backward). Leaves without ``requires_grad`` are
-    constants and never receive gradients.
+    ``backward()`` the ``grad`` slot of each one the loss reaches holds
+    dL/dparam (overwritten, not accumulated). Leaves without
+    ``requires_grad`` are constants and never receive gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
@@ -301,31 +301,15 @@ class Tensor:
         return Tensor._op(data, (self,), backward)
 
     def __getitem__(self, key):
-        data = self.data[key]
+        # fancy indexing can return a non-contiguous array, over which numpy
+        # reductions sum in another order; a C-ordered copy keeps that order
+        # (and the rounding) the same for every form of key
+        data = np.asarray(self.data[key], order="C")
         shape = self.shape
 
         def backward(g):
             full = np.zeros(shape)
             full[key] = g
-            return (full,)
-
-        return Tensor._op(data, (self,), backward)
-
-    def index_select(self, axis: int, indices) -> "Tensor":
-        indices = np.asarray(indices, dtype=np.intp)
-        data = np.take(self.data, indices, axis=axis)
-        shape = self.shape
-        unique = np.unique(indices).size == indices.size
-
-        def backward(g):
-            full = np.zeros(shape)
-            idx = [slice(None)] * len(shape)
-            idx[axis] = indices
-            if unique:
-                full[tuple(idx)] = g
-            else:
-                # np.add.at is slow but handles repeated indices correctly
-                np.add.at(full, tuple(idx), g)
             return (full,)
 
         return Tensor._op(data, (self,), backward)
@@ -338,7 +322,9 @@ class Tensor:
         """Populate ``grad`` on every reachable ``requires_grad`` leaf.
 
         Must be called on a scalar (the loss). Leaf gradients are overwritten,
-        so no explicit zeroing between steps is needed.
+        but only on the leaves this loss reaches: a parameter it does not
+        reach keeps the ``grad`` of an earlier backward, so a caller whose
+        graph can skip parameters sets their ``grad`` to None first.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")

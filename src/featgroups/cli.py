@@ -16,14 +16,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .metrics import ari, nmi, silhouette
-from .serialization import read_checkpoint, write_checkpoint, write_tensors
+from .serialization import write_checkpoint
 from .synthdata import (
     GpSpec,
     LabeledDataset,
@@ -204,8 +203,10 @@ def require_dataset(root: Path, config: dict) -> LabeledDataset:
 # ----------------------------------------------------------------------
 
 
-def run_single_training(config: dict, dataset: LabeledDataset, seed: int, out: Path) -> dict:
-    exp = experiment_config(config, seed=seed)
+def run_single_training(
+    config: dict, dataset: LabeledDataset, seed: int, out: Path, **replacements
+) -> dict:
+    exp = experiment_config(config, seed=seed, **replacements)
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = train(exp, dataset)
@@ -265,18 +266,9 @@ def cmd_train(args) -> int:
     root = output_dir(args, config)
     dataset = require_dataset(root, config)
     seeds = parse_seeds(args.seeds, [int(config["train"]["seed"])])
-    jobs = max(1, args.jobs)
-
-    def one(seed: int):
+    for seed in seeds:
         out = root if len(seeds) == 1 else root / f"seed_{seed}"
-        return run_single_training(config, dataset, seed, out)
-
-    if jobs == 1 or len(seeds) == 1:
-        all_metrics = [one(seed) for seed in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_metrics = list(pool.map(one, seeds))
-    for seed, metrics in zip(seeds, all_metrics):
+        metrics = run_single_training(config, dataset, seed, out)
         shown = {k: round(v, 4) for k, v in metrics.items() if isinstance(v, float)}
         print(f"seed {seed}: {shown}")
     return 0
@@ -313,15 +305,12 @@ def benchmark_variant(
         replacements = {"grouping": "fixed", "fixed_groups": assignment.tolist()}
     else:  # dynamic
         replacements = {"grouping": "dynamic", "fixed_groups": None}
-    exp = experiment_config(config, seed=seed, **replacements)
     out = out_root / variant / f"seed_{seed}"
-    out.mkdir(parents=True, exist_ok=True)
-    result = train(exp, dataset)
-    write_run_artifacts(result, exp, out)
+    metrics = run_single_training(config, dataset, seed, out, **replacements)
     return {
-        "ari": result.metrics["ari"],
-        "nmi": result.metrics["nmi"],
-        "silhouette": result.metrics["silhouette"],
+        "ari": metrics["ari"],
+        "nmi": metrics["nmi"],
+        "silhouette": metrics["silhouette"],
         "seconds": time.monotonic() - start,
         "out": str(out),
     }
@@ -329,29 +318,24 @@ def benchmark_variant(
 
 def cmd_benchmark(args) -> int:
     config = load_config(args.config, args.override)
+    # a bad field fails the command before any data or cell, not cell by cell
+    experiment_config(config)
+    spec = gp_spec(config)
     root = output_dir(args, config)
     binary, sidecar = dataset_paths(root)
     if binary.exists() and sidecar.exists():
         dataset = load_dataset(binary, sidecar)
     else:
-        dataset = generate_dataset(gp_spec(config))
+        dataset = generate_dataset(spec)
         save_dataset(dataset, binary, sidecar)
     seeds = parse_seeds(args.seeds, [0, 1, 2, 3, 4])
-    jobs = max(1, args.jobs)
     cells = [(variant, seed) for variant in BENCHMARK_VARIANTS for seed in seeds]
-
-    def one(cell):
-        variant, seed = cell
+    outcomes = []
+    for variant, seed in cells:
         try:
-            return benchmark_variant(variant, config, dataset, seed, root)
+            outcomes.append(benchmark_variant(variant, config, dataset, seed, root))
         except Exception as exc:  # a failed cell must not sink the table
-            return {"error": f"{type(exc).__name__}: {exc}", "seconds": 0.0, "out": None}
-
-    if jobs == 1:
-        outcomes = [one(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, cells))
+            outcomes.append({"error": f"{type(exc).__name__}: {exc}", "seconds": 0.0, "out": None})
     by_variant: dict[str, list] = {v: [] for v in BENCHMARK_VARIANTS}
     for (variant, seed), outcome in zip(cells, outcomes):
         by_variant[variant].append((seed, outcome))
@@ -475,13 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one run (or a seed sweep) on the generated dataset")
     common(p)
     p.add_argument("--seeds", help="comma-separated training seeds (default: config train.seed)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for seed sweeps")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("benchmark", help="random/oracle/static/dynamic table over seeds")
     common(p)
     p.add_argument("--seeds", help="comma-separated seeds (default: 0,1,2,3,4)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("history", help="convert a history.jsonl into cluster-flow CSVs")

@@ -17,13 +17,15 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, concat
 
-COMBINE_MODES = ("bias", "bias_ext_catzero", "bias_sum_linear", "bias_avg_linear")
+COMBINE_MODES = ("bias", "bias_sum_linear")
+MEMBERSHIP_MODES = ("hard", "soft")
+REG_VARIANTS = ("hard", "soft")
 COVARIANCE_TYPES = ("spherical", "diagonal", "full", "tied")
 EMA_RULES = ("moment_matching", "product_of_experts", "wasserstein")
 
@@ -44,45 +46,25 @@ class ClusteringError(ValueError):
 
 
 def unify(weight: np.ndarray, combine_mode: str) -> np.ndarray:
-    """Map one feature's weight matrix to a fixed-length vector.
-
-    ``weight`` has C_f weight rows followed by one bias row. Result layout is
-    [bias ‖ combined-weight], or just [bias] in bias-only mode, so features
-    with different encoding widths become comparable.
-    """
+    """Map one feature's (2, H) weight matrix, a weight row over a bias row,
+    to a vector: [bias ‖ weight], or just [bias] in bias-only mode."""
     if combine_mode not in COMBINE_MODES:
         raise ValueError(f"unknown combine mode {combine_mode!r}, expected one of {COMBINE_MODES}")
     weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2 or weight.shape[0] < 2:
-        raise ValueError(f"weight matrix must be (C_f + 1) x H, got {weight.shape}")
-    cf = weight.shape[0] - 1
-    bias = weight[-1]
+    if weight.ndim != 2 or weight.shape[0] != 2:
+        raise ValueError(f"weight matrix must be 2 x H, got {weight.shape}")
     if combine_mode == "bias":
-        return bias.copy()
-    if combine_mode == "bias_ext_catzero":
-        combined = weight[0] if cf == 1 else np.zeros_like(bias)
-    elif combine_mode == "bias_sum_linear":
-        combined = weight[:-1].sum(axis=0)
-    else:  # bias_avg_linear
-        combined = weight[:-1].mean(axis=0)
-    return np.concatenate([bias, combined])
+        return weight[1].copy()
+    return np.concatenate([weight[1], weight[0]])
 
 
 def unify_tensor(weight: Tensor, combine_mode: str) -> Tensor:
     """Differentiable twin of :func:`unify` for the regularizer path."""
     if combine_mode not in COMBINE_MODES:
         raise ValueError(f"unknown combine mode {combine_mode!r}, expected one of {COMBINE_MODES}")
-    cf = weight.shape[0] - 1
-    bias = weight[cf]
     if combine_mode == "bias":
-        return bias
-    if combine_mode == "bias_ext_catzero":
-        combined = weight[0] if cf == 1 else Tensor(np.zeros(weight.shape[1]))
-    elif combine_mode == "bias_sum_linear":
-        combined = weight[0:cf].sum(axis=0)
-    else:
-        combined = weight[0:cf].mean(axis=0)
-    return concat([bias, combined], axis=0)
+        return weight[1]
+    return concat([weight[1], weight[0]], axis=0)
 
 
 def unify_all(weights: list[np.ndarray], combine_mode: str) -> np.ndarray:
@@ -337,7 +319,7 @@ def membership_from_scores(scores: np.ndarray, mode: str, delta: float = 0.0) ->
         return hard_membership(scores)
     if mode == "soft":
         return soft_membership(scores, delta)
-    raise ValueError(f"unknown membership mode {mode!r}")
+    raise ValueError(f"unknown membership mode {mode!r}, expected one of {MEMBERSHIP_MODES}")
 
 
 # ----------------------------------------------------------------------
@@ -512,8 +494,8 @@ def reg_loss(
     all features. Returns (loss tensor, degenerate flag); coincident
     centroids yield a constant sentinel loss with the flag set.
     """
-    if variant not in ("hard", "soft"):
-        raise ValueError(f"unknown regularizer variant {variant!r}")
+    if variant not in REG_VARIANTS:
+        raise ValueError(f"unknown regularizer variant {variant!r}, expected one of {REG_VARIANTS}")
     centroids = np.asarray(centroids, dtype=np.float64)
     k = centroids.shape[0]
     gaps = centroids[:, None, :] - centroids[None, :, :]

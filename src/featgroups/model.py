@@ -14,7 +14,7 @@ so the group MLPs never see an empty input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,13 @@ from .autodiff import (
 
 AGG_MODES = ("concat", "mean", "attention")
 PSI_KINDS = ("mlp", "relu", "identity")
+FEATURE_INITS = ("shared", "independent")
 
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters; ``feature_cards`` lists C_f per feature
-    (1 for numerical features, the class count for one-hot categoricals)."""
+    """Architecture hyperparameters. Every feature is numerical, so
+    ``feature_cards`` lists 1 per feature; it fixes the feature count."""
 
     feature_cards: list[int]
     hidden: int = 6
@@ -57,16 +58,14 @@ class ModelConfig:
             raise ValueError(f"unknown psi kind {self.psi!r}, expected one of {PSI_KINDS}")
         if self.seq_width % self.seq_heads != 0:
             raise ValueError("seq_width must be divisible by seq_heads")
-        if self.feature_init not in ("shared", "independent"):
-            raise ValueError(f"unknown feature_init {self.feature_init!r}")
+        if self.feature_init not in FEATURE_INITS:
+            raise ValueError(f"unknown feature_init {self.feature_init!r}, expected one of {FEATURE_INITS}")
+        if any(cf != 1 for cf in self.feature_cards):
+            raise ValueError(f"feature_cards must all be 1 (features are numerical), got {self.feature_cards}")
 
     @property
     def n_features(self) -> int:
         return len(self.feature_cards)
-
-    @property
-    def input_width(self) -> int:
-        return sum(self.feature_cards)
 
     @property
     def aggregated_width(self) -> int:
@@ -98,25 +97,18 @@ class GroupedStepwiseModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         h, s = config.hidden, config.seq_width
+        # each feature owns a (2, H) matrix: its weight row over its bias row
         if config.feature_init == "shared":
             # identical base plus a whisper of noise: every geometric
             # difference the clustering later sees is earned through training,
             # and features the task ignores stay put, together
-            cards = config.feature_cards
-            bases = {cf: _linear_init(rng, cf, (cf + 1, h)) for cf in sorted(set(cards))}
-            self.feature_weights = [
-                Tensor(
-                    bases[cf] + 0.01 * rng.standard_normal((cf + 1, h)),
-                    requires_grad=True,
-                    name=f"feature/{f}/weight",
-                )
-                for f, cf in enumerate(cards)
-            ]
+            base = _linear_init(rng, 1, (2, h))
+            starts = [base + 0.01 * rng.standard_normal((2, h)) for _ in range(config.n_features)]
         else:
-            self.feature_weights = [
-                Tensor(_linear_init(rng, cf, (cf + 1, h)), requires_grad=True, name=f"feature/{f}/weight")
-                for f, cf in enumerate(config.feature_cards)
-            ]
+            starts = [_linear_init(rng, 1, (2, h)) for _ in range(config.n_features)]
+        self.feature_weights = [
+            Tensor(w, requires_grad=True, name=f"feature/{f}/weight") for f, w in enumerate(starts)
+        ]
         self.psi_params = []
         if config.psi == "mlp":
             self.psi_params = [
@@ -184,42 +176,20 @@ class GroupedStepwiseModel:
 
     # ------------------------------------------------------------------
 
-    def _psi(self, h: Tensor) -> Tensor:
-        if self.config.psi == "identity":
-            return h
-        if self.config.psi == "relu":
-            return h.relu()
-        w1, b1, w2, b2 = self.psi_params
-        return linear(linear(h, w1, b1).relu(), w2, b2)
-
     def feature_embed(self, x: np.ndarray) -> Tensor:
-        """(B, T, input_width) -> (B, T, F, H) per-feature embeddings."""
+        """(B, T, F) -> (B, T, F, H) per-feature embeddings."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.config.input_width:
-            raise ValueError(
-                f"expected input (B, T, {self.config.input_width}), got {x.shape}"
-            )
-        cards = self.config.feature_cards
-        if all(cf == 1 for cf in cards):
-            w = stack([w[0] for w in self.feature_weights])  # (F, H)
-            wb = stack([w[1] for w in self.feature_weights])
-            if self.config.psi == "mlp":
-                # psi's first linear map folds into the per-feature one:
-                # (x·w + b) @ W1 + b1 = x·(w @ W1) + (b @ W1 + b1)
-                w1, b1, w2, b2 = self.psi_params
-                return linear(scale_rows(x, w @ w1, wb @ w1 + b1).relu(), w2, b2)
-            return self._psi(scale_rows(x, w, wb))  # (B, T, F, H)
-        columns = []
-        offset = 0
-        for f, cf in enumerate(cards):
-            block = x[:, :, offset : offset + cf]
-            offset += cf
-            if cf > 1 and not np.allclose(block.sum(axis=2), 1.0, atol=1e-9):
-                raise ValueError(f"categorical feature {f}: one-hot vectors must sum to 1")
-            w = self.feature_weights[f]
-            pre = Tensor(block) @ w[0:cf] + w[cf]  # (B, T, H)
-            columns.append(pre.reshape(pre.shape[0], pre.shape[1], 1, self.config.hidden))
-        return self._psi(concat(columns, axis=2))
+        if x.ndim != 3 or x.shape[2] != self.config.n_features:
+            raise ValueError(f"expected input (B, T, {self.config.n_features}), got {x.shape}")
+        w = stack([w[0] for w in self.feature_weights])  # (F, H)
+        wb = stack([w[1] for w in self.feature_weights])
+        if self.config.psi == "mlp":
+            # psi's first linear map folds into the per-feature one:
+            # (x·w + b) @ W1 + b1 = x·(w @ W1) + (b @ W1 + b1)
+            w1, b1, w2, b2 = self.psi_params
+            return linear(scale_rows(x, w @ w1, wb @ w1 + b1).relu(), w2, b2)
+        h = scale_rows(x, w, wb)
+        return h if self.config.psi == "identity" else h.relu()
 
     def group_embed(self, h: Tensor, membership: np.ndarray) -> Tensor:
         """Pool features per group, apply the group MLPs, aggregate.
@@ -277,7 +247,7 @@ class GroupedStepwiseModel:
         outputs = linear(hidden_units, w2, b2).reshape(b, t, len(params), h)
         if mode == "concat":
             return outputs.reshape(b, t, len(params) * h)
-        stacked = outputs.index_select(2, active)  # (B, T, n, H)
+        stacked = outputs[:, :, active]  # (B, T, n, H)
         scores = (stacked * self.agg_query).sum(axis=3) * (1.0 / np.sqrt(h))
         weights = scores.softmax(axis=2)
         return (stacked * weights.reshape(b, t, active.size, 1)).sum(axis=2)
@@ -317,9 +287,6 @@ class GroupedStepwiseModel:
         h = self.feature_embed(x)
         g = self.group_embed(h, membership)
         return self.sequence_forward(g)
-
-    def predict_proba(self, x: np.ndarray, membership: np.ndarray) -> np.ndarray:
-        return self.forward(x, membership).sigmoid().data
 
     # ------------------------------------------------------------------
 

@@ -4,8 +4,8 @@ Each feature of the multivariate series is an independent draw from a
 Gaussian process with an RBF kernel and its own length scale and amplitude.
 Labels come from the feature products of the first two ground-truth pairs:
 per sample, the products are summed over time, thresholded at the dataset
-median, and combined with a logical AND. The last feature pair never touches
-the label, which is exactly what makes it a group of its own.
+median, and combined with a logical AND. The remaining features never touch
+the label, which is exactly what makes them a group of their own.
 
 The static baselines flatten or average the series into one vector per
 feature (label values appended) and run plain K-means on those vectors.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -60,9 +59,21 @@ class LabeledDataset:
 
     @property
     def truth_labels(self) -> np.ndarray:
-        out = np.empty(self.series.shape[2], dtype=np.int64)
-        for gid, members in enumerate(self.truth_groups):
-            out[members] = gid
+        """Ground-truth group id per feature; the truth groups must partition
+        the features."""
+        n = self.series.shape[2]
+        members = sorted(f for group in self.truth_groups for f in group)
+        if members != list(range(n)):
+            missing = sorted(set(range(n)) - set(members))
+            repeated = sorted({f for f in members if members.count(f) > 1})
+            outside = sorted(set(members) - set(range(n)))
+            raise ValueError(
+                f"truth_groups must partition the {n} features: missing {missing},"
+                f" repeated {repeated}, out of range {outside}"
+            )
+        out = np.empty(n, dtype=np.int64)
+        for gid, group in enumerate(self.truth_groups):
+            out[group] = gid
         return out
 
 
@@ -95,7 +106,10 @@ def lower_median(values: np.ndarray) -> float:
 
 
 def assign_labels(series: np.ndarray, spec: GpSpec | None = None) -> LabeledDataset:
-    """Label = (sum_t x1*x2 > median) AND (sum_t x3*x4 > median)."""
+    """Label = (sum_t x1*x2 > median) AND (sum_t x3*x4 > median).
+
+    The truth groups are the two label pairs plus, when there are more than
+    four features, one group holding every distractor."""
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 3 or series.shape[2] < 4:
         raise ValueError(f"series must be (N, T, F>=4), got {series.shape}")
@@ -104,10 +118,12 @@ def assign_labels(series: np.ndarray, spec: GpSpec | None = None) -> LabeledData
     kappa_12 = lower_median(sum_12)
     kappa_34 = lower_median(sum_34)
     labels = ((sum_12 > kappa_12) & (sum_34 > kappa_34)).astype(np.int64)
+    groups = [[0, 1], [2, 3], list(range(4, series.shape[2]))]
     return LabeledDataset(
         series=series,
         labels=labels,
         thresholds=(kappa_12, kappa_34),
+        truth_groups=[g for g in groups if g],
         spec=spec,
     )
 

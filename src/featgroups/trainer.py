@@ -19,15 +19,19 @@ last.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .autodiff import AdamState, adam_step, stack
 from .clustering import (
+    COMBINE_MODES,
+    COVARIANCE_TYPES,
+    EMA_RULES,
+    MEMBERSHIP_MODES,
+    REG_VARIANTS,
     ClusterState,
     ReclusterOptions,
-    hard_membership,
     init_kmeanspp,
     init_prior,
     membership_from_scores,
@@ -39,7 +43,7 @@ from .clustering import (
     unify_tensor,
 )
 from .metrics import ari, auprc, auroc, nmi, silhouette
-from .model import GroupedStepwiseModel, ModelConfig, supervised_loss
+from .model import AGG_MODES, FEATURE_INITS, PSI_KINDS, GroupedStepwiseModel, ModelConfig, supervised_loss
 from .synthdata import LabeledDataset
 
 RESULTS_SCHEMA = "featgroups-results-v1"
@@ -86,6 +90,18 @@ class ExperimentConfig:
     feature_init: str = "shared"  # shared | independent embedding-weight init
 
     def __post_init__(self):
+        for name, allowed in (
+            ("agg_mode", AGG_MODES),
+            ("psi", PSI_KINDS),
+            ("membership", MEMBERSHIP_MODES),
+            ("combine_mode", COMBINE_MODES),
+            ("covariance_type", COVARIANCE_TYPES),
+            ("ema_rule", EMA_RULES),
+            ("reg_variant", REG_VARIANTS),
+            ("feature_init", FEATURE_INITS),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name, value in (
             ("reg_weight", self.reg_weight),
             ("ema_decay", self.ema_decay),
@@ -359,9 +375,12 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                 )
             epoch_losses.append(loss_value)
             epoch_regs.append(reg_value)
+            # parameters of groups that are currently empty never enter the
+            # graph; clearing every grad first gives them zeros, not the
+            # gradient of the last step they took part in
+            for p in params:
+                p.grad = None
             total.backward()
-            # parameters of groups that are currently empty never enter
-            # the graph; they simply receive no update
             grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
             adam_step(params, grads, adam, config.lr)
             step += 1

@@ -181,7 +181,7 @@ class TestGradcheckOracle:
                 h = (a @ b).relu() + c * 2.0
                 h = h.sigmoid() * h.softmax(axis=-1)
                 h = concat([h, (c**2).sqrt()], axis=1)
-                return (h / 3.0).mean() + h.index_select(0, [0, 2]).sum() * 0.1
+                return (h / 3.0).mean() + h[[0, 2]].sum() * 0.1
 
             assert gradcheck(loss, [a, b, c], eps=1e-5) < 1e-4
 
@@ -257,11 +257,6 @@ class TestOpsStructure:
         out = stack(parts, axis=0)
         assert out.shape == (3, 2)
         np.testing.assert_array_equal(out.data[:, 0], [0.0, 1.0, 2.0])
-
-    def test_index_select_repeated_indices(self):
-        x = Tensor(np.arange(4.0), requires_grad=True)
-        x.index_select(0, [1, 1, 3]).sum().backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 2.0, 0.0, 1.0])
 
     def test_getitem_gradient_scatter(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

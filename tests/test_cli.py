@@ -126,12 +126,21 @@ class TestTrain:
         for name, blob in first.items():
             assert Path(out, name).read_bytes() == blob, name
 
-    def test_seed_sweep_with_jobs(self, tmp_path):
+    def test_seed_sweep(self, tmp_path):
         config = write_config(tmp_path)
         out = self._generate(tmp_path, config)
-        assert run(["train", "--config", config, "--out", out, "--seeds", "0,1", "--jobs", "2"]) == 0
+        assert run(["train", "--config", config, "--out", out, "--seeds", "0,1"]) == 0
         assert (Path(out) / "seed_0" / "results.json").exists()
         assert (Path(out) / "seed_1" / "results.json").exists()
+
+    @pytest.mark.parametrize(
+        "override, field", [("membership=sofft", "membership"), ("combine_mode=bias_avg_linear", "combine_mode")]
+    )
+    def test_unknown_enumerated_value_exits_2_naming_field(self, tmp_path, capsys, override, field):
+        config = write_config(tmp_path)
+        out = self._generate(tmp_path, config)
+        assert run(["train", "--config", config, "--out", out, "--override", override]) == 2
+        assert field in capsys.readouterr().err
 
     def test_bad_seeds_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -169,6 +178,15 @@ class TestBenchmark:
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["seeds"] == [0, 1]
         assert all("wall_seconds" in run_info for run_info in manifest["runs"])
+
+    def test_bad_field_exits_2_before_any_cell(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--config", config, "--out", str(out), "--seeds", "0", "--override", "psi=foo"]
+        assert run(argv) == 2
+        assert "psi" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+        assert not (out / "dataset.bin").exists()
 
     def test_partial_failure_marks_row_failed(self, tmp_path):
         body = dict(TINY, train=dict(TINY["train"], groups=4))

@@ -9,6 +9,7 @@ import pytest
 
 from featgroups.autodiff import Tensor, gradcheck
 from featgroups.clustering import (
+    COMBINE_MODES,
     ClusterState,
     ClusteringError,
     ReclusterOptions,
@@ -37,45 +38,23 @@ from featgroups.clustering import (
 
 class TestUnify:
     def setup_method(self):
-        self.h = 3
-        # numerical feature: one weight row + bias row
+        # one feature's weight row over its bias row
         self.w_num = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
-        # categorical feature with 3 classes
-        self.w_cat = np.vstack([np.eye(3), np.full((1, 3), 0.1)])
 
     def test_numerical_sum_mode(self):
         out = unify(self.w_num, "bias_sum_linear")
         np.testing.assert_array_equal(out, [0.5, 0.5, 0.5, 1.0, 2.0, 3.0])
 
-    def test_categorical_avg_mode(self):
-        out = unify(self.w_cat, "bias_avg_linear")
-        np.testing.assert_allclose(out, [0.1, 0.1, 0.1, 1 / 3, 1 / 3, 1 / 3])
-
     def test_bias_mode_length_h_for_any_cf(self):
         assert unify(self.w_num, "bias").shape == (3,)
-        assert unify(self.w_cat, "bias").shape == (3,)
-
-    def test_catzero_keeps_numerical_weight_zeroes_categorical(self):
-        np.testing.assert_array_equal(
-            unify(self.w_num, "bias_ext_catzero"), [0.5, 0.5, 0.5, 1.0, 2.0, 3.0]
-        )
-        np.testing.assert_array_equal(
-            unify(self.w_cat, "bias_ext_catzero"), [0.1, 0.1, 0.1, 0.0, 0.0, 0.0]
-        )
-
-    def test_sum_and_avg_coincide_for_numerical(self):
-        np.testing.assert_array_equal(
-            unify(self.w_num, "bias_sum_linear"), unify(self.w_num, "bias_avg_linear")
-        )
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="combine mode"):
-            unify(self.w_num, "bias_max")
+            unify(self.w_num, "bias_avg_linear")
 
     def test_tensor_twin_matches(self):
-        for mode in ("bias", "bias_ext_catzero", "bias_sum_linear", "bias_avg_linear"):
-            for w in (self.w_num, self.w_cat):
-                np.testing.assert_allclose(unify_tensor(Tensor(w), mode).data, unify(w, mode))
+        for mode in COMBINE_MODES:
+            np.testing.assert_array_equal(unify_tensor(Tensor(self.w_num), mode).data, unify(self.w_num, mode))
 
 
 def brute_force_best_partition(points, k):

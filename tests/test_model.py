@@ -34,14 +34,6 @@ class TestFeatureEmbed:
         h = model.feature_embed(x)
         np.testing.assert_allclose(h.data[0, 0, 0], [2.0, 4.0, 6.0])
 
-    def test_categorical_selects_class_row(self):
-        model = make_model(feature_cards=[3], groups=1, psi="identity")
-        w = model.feature_weights[0]
-        x = np.zeros((1, 1, 3))
-        x[0, 0, 1] = 1.0  # class j=1
-        h = model.feature_embed(x)
-        np.testing.assert_allclose(h.data[0, 0, 0], w.data[1] + w.data[3])
-
     def test_zero_input_zero_bias_relu_gives_zero_row(self):
         model = make_model(feature_cards=[1, 1], groups=1, psi="relu")
         for w in model.feature_weights:
@@ -49,16 +41,12 @@ class TestFeatureEmbed:
         h = model.feature_embed(np.zeros((2, 3, 2)))
         np.testing.assert_array_equal(h.data, np.zeros((2, 3, 2, 3)))
 
-    def test_invalid_one_hot_raises(self):
-        model = make_model(feature_cards=[1, 3])
-        x = np.zeros((1, 1, 4))
-        x[0, 0, 0] = 0.5
-        x[0, 0, 1:] = [0.4, 0.4, 0.4]
-        with pytest.raises(ValueError, match="one-hot"):
-            model.feature_embed(x)
+    def test_categorical_feature_cards_rejected(self):
+        with pytest.raises(ValueError, match="feature_cards"):
+            make_model(feature_cards=[1, 3])
 
     def test_mixed_layout_matches_numeric_fast_path(self):
-        # a categorical with C_f=1 behaves like a numerical feature
+        # every feature is numerical: one (H,) embedding per feature and step
         fast = make_model(feature_cards=[1, 1], groups=1, psi="mlp")
         x = np.random.default_rng(1).normal(size=(2, 3, 2))
         h = fast.feature_embed(x)

@@ -88,6 +88,21 @@ class TestLabels:
         dataset = generate_dataset(GpSpec(samples=10, seed=0))
         np.testing.assert_array_equal(dataset.truth_labels, [0, 0, 1, 1, 2, 2])
 
+    @pytest.mark.parametrize(
+        "features, truth", [(4, [0, 0, 1, 1]), (5, [0, 0, 1, 1, 2]), (8, [0, 0, 1, 1, 2, 2, 2, 2])]
+    )
+    def test_distractors_form_one_truth_group(self, features, truth):
+        spec = GpSpec(
+            samples=10, features=features, length=4, length_scales=[1.0] * features, amplitudes=[1.0] * features
+        )
+        np.testing.assert_array_equal(generate_dataset(spec).truth_labels, truth)
+
+    def test_truth_labels_name_missing_and_repeated_features(self):
+        dataset = generate_dataset(GpSpec(samples=10, seed=0))
+        dataset.truth_groups = [[0, 1], [1, 2, 3], [5]]
+        with pytest.raises(ValueError, match=r"missing \[4\], repeated \[1\]"):
+            dataset.truth_labels
+
 
 class TestStaticTransforms:
     def setup_method(self):

@@ -4,7 +4,8 @@ isolation, fixed-group equivalence, divergence handling, determinism."""
 import numpy as np
 import pytest
 
-from featgroups.autodiff import stack
+from featgroups import trainer
+from featgroups.autodiff import adam_step, stack
 from featgroups.clustering import reg_loss, unify_tensor
 from featgroups.model import GroupedStepwiseModel, ModelConfig, supervised_loss
 from featgroups.synthdata import GpSpec, assign_labels, generate_dataset
@@ -61,6 +62,14 @@ class TestConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             tiny_config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["agg_mode", "psi", "membership", "combine_mode", "covariance_type", "ema_rule", "reg_variant", "feature_init"],
+    )
+    def test_unknown_enumerated_value_names_field(self, name):
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: "bogus"})
 
 
 class TestTrainLoop:
@@ -139,6 +148,42 @@ class TestTrainLoop:
         )
         result = train(config, tiny_dataset())
         assert result.membership.sum(axis=1).min() >= 1
+
+
+class TestEmptyGroups:
+    def test_emptied_group_passes_zero_gradients_to_adam(self, monkeypatch):
+        # step 0 trains under the prior grouping [0, 0, 1, 1]; the recluster
+        # after it moves every feature into group 0, so at step 1 group 1 is
+        # empty and must hand Adam zeros, not the gradient of step 0
+        spec = GpSpec(samples=40, features=4, length=5, length_scales=[1.0] * 4, amplitudes=[1.0] * 4)
+        dataset = generate_dataset(spec)
+        dataset.truth_groups = [[0, 1], [2, 3]]
+
+        def emptying_recluster(weights, state, options, rng):
+            member = np.zeros((4, 2))
+            member[:, 0] = 1.0
+            state = state.copy()
+            state.membership = member
+            return member, state
+
+        seen = []
+
+        def recording_adam(params, grads, state, lr):
+            seen.append({p.name: g.copy() for p, g in zip(params, grads)})
+            return adam_step(params, grads, state, lr)
+
+        monkeypatch.setattr(trainer, "recluster", emptying_recluster)
+        monkeypatch.setattr(trainer, "adam_step", recording_adam)
+        config = tiny_config(
+            groups=2, epochs=1, batch_size=18, init="prior", prior_groups=[0, 0, 1, 1], recluster_unit="batch"
+        )
+        train(config, dataset)
+        assert len(seen) == 2
+        group1 = [name for name in seen[0] if name.startswith("group/1/")]
+        assert len(group1) == 4
+        for name in group1:
+            assert np.any(seen[0][name]), name
+            np.testing.assert_array_equal(seen[1][name], 0.0, err_msg=name)
 
 
 class TestLossIsolation:
