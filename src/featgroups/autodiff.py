@@ -45,6 +45,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), evaluated so that exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _as_tensor(x) -> "Tensor":
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -146,35 +156,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        try:
-            data = self.data / other.data
-        except ValueError:
-            raise ShapeError("div", self.shape, other.shape) from None
-        a, b = self, other
-
-        def backward(g):
-            ga = _unbroadcast(g / b.data, a.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            return ga, gb
-
-        return Tensor._op(data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data**n
-        x = self
-
-        def backward(g):
-            return (g * n * x.data ** (n - 1),)
-
-        return Tensor._op(data, (self,), backward)
-
     def __matmul__(self, other):
         other = _as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
@@ -205,22 +186,10 @@ class Tensor:
         return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
 
     def sigmoid(self):
-        out = np.empty_like(self.data)
-        pos = self.data >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-self.data[pos]))
-        ez = np.exp(self.data[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        out = _sigmoid(self.data)
 
         def backward(g):
             return (g * out * (1.0 - out),)
-
-        return Tensor._op(out, (self,), backward)
-
-    def exp(self):
-        out = np.exp(self.data)
-
-        def backward(g):
-            return (g * out,)
 
         return Tensor._op(out, (self,), backward)
 
@@ -608,12 +577,7 @@ def bce_with_logits(z: Tensor, y) -> Tensor:
     zt = z
 
     def backward(g):
-        p = np.empty_like(zt.data)
-        pos = zt.data >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-zt.data[pos]))
-        ez = np.exp(zt.data[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        return (np.broadcast_to(g, zt.shape) * (p - yv),)
+        return (np.broadcast_to(g, zt.shape) * (_sigmoid(zt.data) - yv),)
 
     out = Tensor._op(data, (z,), backward)
     return out.sum() * (1.0 / n)

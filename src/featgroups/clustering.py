@@ -83,7 +83,7 @@ class ClusterState:
 
     kind: str  # kmeans | fuzzy | gmm
     centroids: np.ndarray  # (K, D)
-    covariances: np.ndarray | None = None  # layout depends on covariance_type
+    covariances: np.ndarray | None = None  # (K, D, D), gmm only; constrained by covariance_type
     weights: np.ndarray | None = None  # (K,) mixture weights, gmm only
     fuzzifier: float | None = None  # fuzzy only, m > 1
     covariance_type: str = "full"
@@ -97,6 +97,9 @@ class ClusterState:
             raise ValueError("fuzzy clustering needs fuzzifier m > 1")
         if self.kind == "gmm" and self.covariance_type not in COVARIANCE_TYPES:
             raise ValueError(f"unknown covariance type {self.covariance_type!r}")
+        k, d = self.centroids.shape
+        if self.kind == "gmm" and np.shape(self.covariances) != (k, d, d):
+            raise ValueError(f"gmm covariances must have shape {(k, d, d)}, got {np.shape(self.covariances)}")
 
     @property
     def n_clusters(self) -> int:
@@ -199,37 +202,28 @@ def fcm_objective(points: np.ndarray, state: ClusterState) -> float:
 # ----------------------------------------------------------------------
 
 
-def _covariances_as_full(state: ClusterState) -> np.ndarray:
-    k, d = state.centroids.shape
-    cov = state.covariances
-    if state.covariance_type == "full":
-        return np.array(cov)
-    if state.covariance_type == "tied":
-        return np.broadcast_to(cov, (k, d, d)).copy()
-    if state.covariance_type == "diagonal":
-        return np.stack([np.diag(row) for row in cov])
-    return np.stack([np.eye(d) * v for v in cov])  # spherical
-
-
-def _covariances_from_full(full: np.ndarray, covariance_type: str) -> np.ndarray:
+def _constrain(full: np.ndarray, covariance_type: str, weights: np.ndarray) -> np.ndarray:
+    """Project (K, D, D) covariances onto ``covariance_type``: full keeps them,
+    tied repeats their ``weights``-weighted mean (the size-weighted pooled
+    covariance), diagonal keeps their diagonals, spherical the mean of each
+    diagonal."""
     if covariance_type == "full":
         return full
     if covariance_type == "tied":
-        return full.mean(axis=0)
-    diags = np.stack([np.diag(m) for m in full])
-    if covariance_type == "diagonal":
-        return diags
-    return diags.mean(axis=1)  # spherical
+        return np.broadcast_to(np.average(full, axis=0, weights=weights), full.shape).copy()
+    diags = np.diagonal(full, axis1=1, axis2=2)
+    if covariance_type == "spherical":
+        diags = diags.mean(axis=1, keepdims=True)
+    return diags[:, :, None] * np.eye(full.shape[1])
 
 
 def _log_gaussians(points: np.ndarray, state: ClusterState) -> np.ndarray:
     """Per-point, per-component log N(x | mu_k, Sigma_k)."""
     k, d = state.centroids.shape
-    full = _covariances_as_full(state)
     out = np.empty((points.shape[0], k))
     for j in range(k):
         try:
-            chol = np.linalg.cholesky(full[j])
+            chol = np.linalg.cholesky(state.covariances[j])
         except np.linalg.LinAlgError:
             raise ClusteringError(f"covariance of component {j} is singular despite jitter") from None
         diff = points - state.centroids[j]
@@ -255,7 +249,8 @@ def gmm_responsibilities(points: np.ndarray, state: ClusterState) -> np.ndarray:
 def gmm_em_step(points: np.ndarray, state: ClusterState):
     """One EM iteration. Returns (responsibilities, means, covariances, weights).
 
-    Covariances follow the state's layout and carry +1e-6 diagonal jitter.
+    Covariances are (K, D, D), carry +1e-6 diagonal jitter and are
+    constrained to the state's covariance_type.
     """
     points = np.asarray(points, dtype=np.float64)
     k, d = state.centroids.shape
@@ -269,17 +264,9 @@ def gmm_em_step(points: np.ndarray, state: ClusterState):
     weights = weights / weights.sum()
 
     diff = points[:, None, :] - means[None, :, :]  # (F, K, D)
-    if state.covariance_type == "full":
-        cov = np.einsum("fk,fki,fkj->kij", resp, diff, diff) / nk[:, None, None]
-        cov += COVARIANCE_JITTER * np.eye(d)
-    elif state.covariance_type == "tied":
-        cov = np.einsum("fk,fki,fkj->ij", resp, diff, diff) / points.shape[0]
-        cov += COVARIANCE_JITTER * np.eye(d)
-    elif state.covariance_type == "diagonal":
-        cov = np.einsum("fk,fki->ki", resp, diff**2) / nk[:, None] + COVARIANCE_JITTER
-    else:  # spherical
-        cov = (np.einsum("fk,fki->ki", resp, diff**2) / nk[:, None]).mean(axis=1) + COVARIANCE_JITTER
-    return resp, means, cov, weights
+    cov = np.einsum("fk,fki,fkj->kij", resp, diff, diff) / nk[:, None, None]
+    cov += COVARIANCE_JITTER * np.eye(d)
+    return resp, means, _constrain(cov, state.covariance_type, weights), weights
 
 
 # ----------------------------------------------------------------------
@@ -327,15 +314,28 @@ def membership_from_scores(scores: np.ndarray, mode: str, delta: float = 0.0) ->
 # ----------------------------------------------------------------------
 
 
-def _group_covariances(points, membership, covariance_type):
-    k = membership.shape[1]
-    d = points.shape[1]
+def _initial_state(points, centroids, groups, kind, fuzzifier, covariance_type) -> ClusterState:
+    """A state of ``kind`` at ``centroids``. A GMM takes its mixture weights
+    and (constrained) covariances from the hard ``groups`` (F, K) of the
+    points, each covariance taken around its group's own mean."""
+    if kind == "fuzzy":
+        return ClusterState(kind="fuzzy", centroids=centroids, fuzzifier=fuzzifier)
+    if kind != "gmm":
+        return ClusterState(kind="kmeans", centroids=centroids)
+    k, d = groups.shape[1], points.shape[1]
     full = np.empty((k, d, d))
     for j in range(k):
-        group = points[membership[:, j] > 0]
+        group = points[groups[:, j] > 0]
         centered = group - group.mean(axis=0)
         full[j] = centered.T @ centered / group.shape[0] + COVARIANCE_JITTER * np.eye(d)
-    return _covariances_from_full(full, covariance_type)
+    weights = groups.sum(axis=0) / points.shape[0]
+    return ClusterState(
+        kind="gmm",
+        centroids=centroids,
+        covariances=_constrain(full, covariance_type, weights),
+        weights=weights,
+        covariance_type=covariance_type,
+    )
 
 
 def init_kmeanspp(
@@ -350,33 +350,22 @@ def init_kmeanspp(
     squared distance from the nearest chosen centroid.
 
     For a GMM the seeds define initial hard groups from which per-component
-    means, covariances, and mixture weights are estimated.
+    covariances and mixture weights are estimated.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"K={k} exceeds number of points {n}")
-    if np.unique(points, axis=0).shape[0] < k:
-        raise ValueError(f"need at least K={k} distinct points")
     chosen = [int(rng.integers(n))]
     for _ in range(k - 1):
         d2 = (_distances(points, points[chosen]) ** 2).min(axis=1)
+        # every point coincides with a chosen one: fewer than K are distinct
+        if not d2.any():
+            raise ValueError(f"need at least K={k} distinct points")
         chosen.append(int(rng.choice(n, p=d2 / d2.sum())))
     centroids = points[chosen].copy()
-    if kind == "fuzzy":
-        return ClusterState(kind="fuzzy", centroids=centroids, fuzzifier=fuzzifier)
-    if kind == "gmm":
-        groups = hard_membership(-_distances(points, centroids))
-        cov = _group_covariances(points, groups, covariance_type)
-        weights = groups.sum(axis=0) / n
-        return ClusterState(
-            kind="gmm",
-            centroids=centroids,
-            covariances=cov,
-            weights=weights,
-            covariance_type=covariance_type,
-        )
-    return ClusterState(kind="kmeans", centroids=centroids)
+    groups = hard_membership(-_distances(points, centroids)) if kind == "gmm" else None
+    return _initial_state(points, centroids, groups, kind, fuzzifier, covariance_type)
 
 
 def init_prior(
@@ -393,18 +382,7 @@ def init_prior(
     if (sizes == 0).any():
         raise ValueError(f"prior group {int((sizes == 0).argmax())} is empty")
     centroids = (prior_groups.T @ points) / sizes[:, None]
-    if kind == "fuzzy":
-        state = ClusterState(kind="fuzzy", centroids=centroids, fuzzifier=fuzzifier)
-    elif kind == "gmm":
-        state = ClusterState(
-            kind="gmm",
-            centroids=centroids,
-            covariances=_group_covariances(points, prior_groups, covariance_type),
-            weights=sizes / points.shape[0],
-            covariance_type=covariance_type,
-        )
-    else:
-        state = ClusterState(kind="kmeans", centroids=centroids)
+    state = _initial_state(points, centroids, prior_groups, kind, fuzzifier, covariance_type)
     state.membership = (prior_groups > 0).astype(np.float64)
     return state
 
@@ -534,10 +512,7 @@ class ReclusterOptions:
 def score_points(points: np.ndarray, state: ClusterState) -> np.ndarray:
     """Assignment scores for the state's algorithm without updating it."""
     if state.kind == "kmeans":
-        dist = _distances(points, state.centroids)
-        scores = np.zeros_like(dist)
-        scores[np.arange(points.shape[0]), dist.argmin(axis=1)] = 1.0
-        return scores
+        return hard_membership(-_distances(points, state.centroids))
     if state.kind == "fuzzy":
         return _fcm_scores(_distances(points, state.centroids), state.fuzzifier)
     return gmm_responsibilities(points, state)
@@ -568,19 +543,17 @@ def _ema_state(old: ClusterState, new: ClusterState, alpha: float, rule: str) ->
         out = new.copy()
         out.centroids = ema_centroids(old.centroids, new.centroids, alpha)
         return out
-    old_full = _covariances_as_full(old)
-    new_full = _covariances_as_full(new)
     means = np.empty_like(new.centroids)
-    full = np.empty_like(new_full)
+    full = np.empty_like(new.covariances)
     for j in range(old.n_clusters):
         means[j], full[j] = ema_gaussian(
-            (old.centroids[j], old_full[j]), (new.centroids[j], new_full[j]), alpha, rule
+            (old.centroids[j], old.covariances[j]), (new.centroids[j], new.covariances[j]), alpha, rule
         )
+    mixed = alpha * old.weights + (1.0 - alpha) * new.weights
     out = new.copy()
     out.centroids = means
-    out.covariances = _covariances_from_full(full, old.covariance_type)
-    mixed = alpha * old.weights + (1.0 - alpha) * new.weights
     out.weights = mixed / mixed.sum()
+    out.covariances = _constrain(full, old.covariance_type, out.weights)
     return out
 
 
@@ -654,8 +627,8 @@ def match_clusters(state: ClusterState, reference: np.ndarray) -> ClusterState:
     out.centroids = state.centroids[order]
     if state.weights is not None:
         out.weights = state.weights[order]
-    if state.covariances is not None and state.covariance_type != "tied":
-        out.covariances = np.asarray(state.covariances)[order]
+    if state.covariances is not None:
+        out.covariances = state.covariances[order]
     return out
 
 
@@ -680,21 +653,18 @@ def recluster(
     (membership, new state); the new state stores the membership it produced.
     """
     points = unify_all(weights, options.combine_mode)
-    updated = converge(points, state)
-    if rng is not None:
-        for _ in range(RECLUSTER_RESTARTS):
-            seeded = init_kmeanspp(
-                points,
-                state.n_clusters,
-                rng,
-                kind=state.kind,
-                fuzzifier=state.fuzzifier,
-                covariance_type=state.covariance_type,
-            )
-            candidate = converge(points, seeded)
-            if _objective(points, candidate) < _objective(points, updated):
-                updated = candidate
-    updated = match_clusters(updated, state.centroids)
+    runs = [converge(points, state)]
+    for _ in range(RECLUSTER_RESTARTS if rng is not None else 0):
+        seeded = init_kmeanspp(
+            points,
+            state.n_clusters,
+            rng,
+            kind=state.kind,
+            fuzzifier=state.fuzzifier,
+            covariance_type=state.covariance_type,
+        )
+        runs.append(converge(points, seeded))
+    updated = match_clusters(min(runs, key=lambda run: _objective(points, run)), state.centroids)
     member = membership_from_scores(score_points(points, updated), options.membership, options.delta)
     previous = state.membership
     if previous is not None and not np.array_equal(member, previous):

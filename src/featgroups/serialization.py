@@ -13,11 +13,13 @@ Binary layout (all integers and floats little-endian):
 
 Checkpoints store model parameters under ``model/<name>`` and the clustering
 state under ``cluster/<field>``; non-numeric state fields (algorithm kind,
-covariance layout) travel as single-element code tensors.
+covariance type) travel as single-element code tensors. A GMM's
+``cluster/covariances`` is (K, D, D) for every covariance type.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -49,21 +51,34 @@ def write_tensors(path, tensors: dict[str, np.ndarray]):
             fh.write(array.tobytes(order="C"))
 
 
+def _read_exactly(fh, size: int, end: int, path: Path, what: str) -> bytes:
+    # checked against the file size before reading, so that a corrupt length
+    # fails here instead of allocating its size
+    if fh.tell() + size > end:
+        raise ValueError(f"{path}: file ends inside {what} ({end - fh.tell()} of {size} bytes left)")
+    return fh.read(size)
+
+
 def read_tensors(path) -> dict[str, np.ndarray]:
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a named-tensor file (bad magic)")
-        (count,) = struct.unpack("<I", fh.read(4))
+        end = os.fstat(fh.fileno()).st_size
+        (count,) = struct.unpack("<I", _read_exactly(fh, 4, end, path, "the tensor count"))
         out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+        for index in range(count):
+            what = f"the name of tensor {index}"
+            (name_len,) = struct.unpack("<I", _read_exactly(fh, 4, end, path, what))
+            name = _read_exactly(fh, name_len, end, path, what).decode("utf-8")
+            what = f"tensor {name!r}"
+            (ndim,) = struct.unpack("<I", _read_exactly(fh, 4, end, path, what))
+            shape = struct.unpack(f"<{ndim}Q", _read_exactly(fh, 8 * ndim, end, path, what))
             n_values = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_values), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
+            data = _read_exactly(fh, 8 * n_values, end, path, what)
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.tell() != end:
+            raise ValueError(f"{path}: {end - fh.tell()} trailing bytes after the last of its {count} tensors")
         return out
 
 

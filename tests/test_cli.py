@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from featgroups.cli import main
+from featgroups.model import GroupedStepwiseModel, ModelConfig
 from featgroups.serialization import read_checkpoint
+from featgroups.synthdata import load_dataset
+from featgroups.trainer import ExperimentConfig, evaluate
 
 
 TINY = {
@@ -125,6 +128,51 @@ class TestTrain:
         assert run(["train", "--config", config, "--out", out]) == 0
         for name, blob in first.items():
             assert Path(out, name).read_bytes() == blob, name
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"algorithm": "gmm", "covariance_type": "diagonal"}], ids=["default", "gmm_diagonal"]
+    )
+    def test_checkpoint_reevaluates_to_the_results(self, tmp_path, extra):
+        # the criterion-9 run; a GMM re-scores with the covariances read back
+        body = {
+            "schema": "featgroups-config-v1",
+            "dataset": {"samples": 70, "length": 5, "seed": 1},
+            "train": {"epochs": 3, "batch_size": 35, "hidden": 3, "seq_width": 4, **extra},
+        }
+        config = write_config(tmp_path, body)
+        out = self._generate(tmp_path, config)
+        assert run(["train", "--config", config, "--out", out]) == 0
+        results = json.loads(Path(out, "results.json").read_text())
+        exp = ExperimentConfig.from_dict(results["config"])
+        dataset = load_dataset(Path(out, "dataset.bin"), Path(out, "dataset.json"))
+        model_state, cluster_state = read_checkpoint(Path(out, "checkpoint.bin"))
+        model = GroupedStepwiseModel(
+            ModelConfig(
+                feature_cards=[1] * dataset.series.shape[2],
+                hidden=exp.hidden,
+                groups=exp.groups,
+                agg_mode=exp.agg_mode,
+                psi=exp.psi,
+                seq_width=exp.seq_width,
+                seq_heads=exp.seq_heads,
+                positional_encoding=exp.positional_encoding,
+                feature_init=exp.feature_init,
+            ),
+            np.random.default_rng(0),
+        )
+        model.load_state_dict(model_state)
+        metrics = evaluate(
+            model,
+            cluster_state,
+            cluster_state.membership,
+            dataset,
+            exp,
+            model_state["input_norm/mean"],
+            model_state["input_norm/std"],
+        )
+        assert cluster_state.kind == exp.algorithm
+        assert metrics.pop("partition") == results["partition"]
+        assert metrics == results["metrics"]
 
     def test_seed_sweep(self, tmp_path):
         config = write_config(tmp_path)

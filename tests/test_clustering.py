@@ -231,6 +231,62 @@ class TestGmm:
             gmm_em_step(np.zeros((2, 1)), state)
 
 
+def assert_constrained(cov, covariance_type, k, d):
+    """(K, D, D) covariances that meet their covariance_type exactly."""
+    assert cov.shape == (k, d, d)
+    diags = np.diagonal(cov, axis1=1, axis2=2)
+    if covariance_type in ("diagonal", "spherical"):
+        np.testing.assert_array_equal(cov, diags[:, :, None] * np.eye(d))
+    if covariance_type == "spherical":
+        np.testing.assert_array_equal(diags, np.repeat(diags[:, :1], d, axis=1))
+    if covariance_type == "tied":
+        np.testing.assert_array_equal(cov, np.broadcast_to(cov[0], cov.shape))
+    np.testing.assert_allclose(cov, cov.transpose(0, 2, 1), rtol=1e-12)
+
+
+class TestCovarianceLayout:
+    @pytest.mark.parametrize("cov_type", ["spherical", "diagonal", "full", "tied"])
+    def test_every_state_is_k_d_d_and_constrained(self, cov_type):
+        rng = np.random.default_rng(40)
+        points = np.vstack([rng.normal(size=(5, 3)) * 0.3, rng.normal(size=(4, 3)) * 0.5 + 4.0])
+        weights = [np.vstack([np.zeros((1, 3)), p[None, :]]) for p in points]
+        state = init_kmeanspp(points, 2, np.random.default_rng(1), kind="gmm", covariance_type=cov_type)
+        assert_constrained(state.covariances, cov_type, 2, 3)
+        prior = np.zeros((9, 2))
+        prior[:6, 0] = prior[6:, 1] = 1.0
+        state = init_prior(points, prior, kind="gmm", covariance_type=cov_type)
+        assert_constrained(state.covariances, cov_type, 2, 3)
+        _, _, cov, _ = gmm_em_step(points, state)
+        assert_constrained(cov, cov_type, 2, 3)
+        # a stored membership no run can reproduce, so the EMA damping fires
+        state.membership = np.zeros((9, 2))
+        options = ReclusterOptions(combine_mode="bias", alpha=0.5)
+        _, damped = recluster(weights, state, options, np.random.default_rng(2))
+        assert_constrained(damped.covariances, cov_type, 2, 3)
+
+    def test_tied_prior_is_the_size_weighted_pooled_covariance(self):
+        # groups of 6 and 2 points: the M-step pools the scatter of every
+        # point, so the tied initial state weights each group by its size
+        rng = np.random.default_rng(41)
+        points = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(2, 2)) * 3.0 + 5.0])
+        prior = np.zeros((8, 2))
+        prior[:6, 0] = prior[6:, 1] = 1.0
+        state = init_prior(points, prior, kind="gmm", covariance_type="tied")
+        scatter = [np.cov(points[rows].T, bias=True) for rows in (slice(0, 6), slice(6, 8))]
+        pooled = (6 * scatter[0] + 2 * scatter[1]) / 8 + 1e-6 * np.eye(2)
+        np.testing.assert_allclose(state.covariances, np.stack([pooled, pooled]), rtol=1e-12)
+
+    def test_old_layout_rejected(self):
+        with pytest.raises(ValueError, match=r"covariances must have shape \(2, 3, 3\), got \(2, 3\)"):
+            ClusterState(
+                kind="gmm",
+                centroids=np.zeros((2, 3)),
+                covariances=np.ones((2, 3)),
+                weights=np.full(2, 0.5),
+                covariance_type="diagonal",
+            )
+
+
 class TestMembership:
     def test_hard_argmax(self):
         member = hard_membership(np.array([[0.2, 0.8]]))
@@ -308,6 +364,12 @@ class TestInit:
         points = np.array([[0.0], [0.0], [1.0]])
         with pytest.raises(ValueError, match="distinct"):
             init_kmeanspp(points, 3, np.random.default_rng(0))
+
+    def test_duplicates_with_k_distinct_points_draw_each(self):
+        points = np.array([[0.0], [0.0], [1.0], [1.0], [2.0]])
+        for seed in range(50):
+            state = init_kmeanspp(points, 3, np.random.default_rng(seed))
+            assert sorted(state.centroids[:, 0]) == [0.0, 1.0, 2.0]
 
     def test_prior_singleton_groups(self):
         points = np.array([[1.0], [5.0], [9.0]])
@@ -536,7 +598,7 @@ class TestRecluster:
             weights, state, ReclusterOptions(combine_mode="bias", alpha=0.5, membership="hard")
         )
         assert member.shape == (8, 2)
-        assert new_state.covariances.shape == (2, 2)
+        assert new_state.covariances.shape == (2, 2, 2)
 
     def test_restarts_leave_local_optimum_and_keep_cluster_ids(self):
         # pairs {0,1}, {10,11}, {30,31}; the state merges the first two pairs
@@ -575,7 +637,7 @@ class TestRecluster:
             state = ClusterState(
                 kind="gmm",
                 centroids=rng.normal(size=(k, 3)),
-                covariances=rng.uniform(0.5, 2.0, size=(k, 3)),
+                covariances=rng.uniform(0.5, 2.0, size=(k, 3))[:, :, None] * np.eye(3),
                 weights=rng.dirichlet(np.ones(k)),
                 covariance_type="diagonal",
             )

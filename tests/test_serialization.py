@@ -36,6 +36,36 @@ class TestTensorFile:
         with pytest.raises(ValueError, match="magic"):
             read_tensors(path)
 
+    @pytest.mark.parametrize("cut", [6, 14, 25, 80])
+    def test_truncated_file_names_path_and_tensor(self, tmp_path, cut):
+        # cut inside: the tensor count, the first name, the first shape, the
+        # second tensor's data
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"first": np.ones(2), "second": np.ones(3)})
+        path.write_bytes(path.read_bytes()[:cut])
+        expected = {6: "tensor count", 14: "tensor 0", 25: "'first'", 80: "'second'"}[cut]
+        with pytest.raises(ValueError, match="file ends inside") as info:
+            read_tensors(path)
+        assert str(path) in str(info.value) and expected in str(info.value)
+
+    def test_corrupt_shape_rejected_before_reading(self, tmp_path):
+        # a dimension of 2**40 would ask for 8 TiB of data
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"x": np.ones(2)})
+        blob = bytearray(path.read_bytes())
+        blob[17:25] = (2**40).to_bytes(8, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="file ends inside tensor 'x'"):
+            read_tensors(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"x": np.ones(2)})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes") as info:
+            read_tensors(path)
+        assert str(path) in str(info.value)
+
     def test_deterministic_bytes(self, tmp_path):
         tensors = {"x": np.arange(6.0).reshape(2, 3)}
         write_tensors(tmp_path / "a.bin", tensors)
@@ -56,6 +86,22 @@ class TestClusterState:
         np.testing.assert_array_equal(clone.covariances, state.covariances)
         np.testing.assert_array_equal(clone.weights, state.weights)
         np.testing.assert_array_equal(clone.membership, state.membership)
+
+    def test_checkpoint_with_per_component_diagonals_rejected(self, tmp_path):
+        # the (K, D) layout older checkpoints stored for a diagonal GMM
+        path = tmp_path / "ckpt.bin"
+        write_tensors(
+            path,
+            {
+                "cluster/kind_code": np.array([2.0]),
+                "cluster/centroids": np.zeros((2, 3)),
+                "cluster/covtype_code": np.array([1.0]),
+                "cluster/covariances": np.ones((2, 3)),
+                "cluster/weights": np.full(2, 0.5),
+            },
+        )
+        with pytest.raises(ValueError, match="covariances"):
+            read_checkpoint(path)
 
     def test_fuzzy_roundtrip(self):
         state = ClusterState(kind="fuzzy", centroids=np.zeros((2, 2)), fuzzifier=2.5)
