@@ -55,6 +55,39 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _repeated_entry(key, shape: tuple) -> tuple | None:
+    """The first entry that index ``key`` reaches more than once, as (axis,
+    index) pairs over the axes that integer arrays index; None if it reaches
+    every entry at most once. Only integer-array parts of a key can repeat."""
+    parts = key if isinstance(key, tuple) else (key,)
+    arrays = [np.asarray(p) if isinstance(p, (list, np.ndarray)) else None for p in parts]
+
+    def width(part, array) -> int:
+        """How many axes of the indexed array one part of the key consumes."""
+        if part is None:
+            return 0
+        if part is Ellipsis:
+            return len(shape) - sum(width(p, a) for p, a in zip(parts, arrays) if p is not Ellipsis)
+        return array.ndim if array is not None and array.dtype == bool else 1
+
+    axis, axes, indices = 0, [], []
+    for part, array in zip(parts, arrays):
+        if array is not None and array.dtype.kind in "iu" and array.ndim:
+            axes.append(axis)
+            indices.append(array % shape[axis])
+        axis += width(part, array)
+    if not indices:
+        return None
+    flat = [a.ravel() for a in np.broadcast_arrays(*indices)]
+    _, first, counts = np.unique(
+        np.ravel_multi_index(flat, [shape[a] for a in axes]), return_index=True, return_counts=True
+    )
+    if (counts == 1).all():
+        return None
+    at = first[counts > 1].min()
+    return tuple((a, int(f[at])) for a, f in zip(axes, flat))
+
+
 def _as_tensor(x) -> "Tensor":
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -275,6 +308,12 @@ class Tensor:
         # (and the rounding) the same for every form of key
         data = np.asarray(self.data[key], order="C")
         shape = self.shape
+        # the backward scatters by assignment, which keeps one contribution
+        # per entry; a repeated entry would lose the others
+        repeated = _repeated_entry(key, shape) if _needs_grad(self) else None
+        if repeated is not None:
+            where = ", ".join(f"axis {a} index {i}" for a, i in repeated)
+            raise ValueError(f"index repeats entry ({where}) of a {shape} tensor, whose gradient would count once")
 
         def backward(g):
             full = np.zeros(shape)

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -189,13 +190,26 @@ def dataset_paths(root: Path) -> tuple[Path, Path]:
 
 
 def require_dataset(root: Path, config: dict) -> LabeledDataset:
+    """The dataset under ``root``, which must have been generated from the
+    config's dataset section; a sidecar without generator settings is taken
+    as it is."""
     binary, sidecar = dataset_paths(root)
     if not binary.exists() or not sidecar.exists():
         raise ConfigError(
             f"dataset not found under {root} (expected {binary.name} and {sidecar.name}); "
             "run the generate command first"
         )
-    return load_dataset(binary, sidecar)
+    dataset = load_dataset(binary, sidecar)
+    if dataset.spec is not None:
+        wanted = gp_spec(config)
+        for field in fields(GpSpec):
+            found, expected = getattr(dataset.spec, field.name), getattr(wanted, field.name)
+            if found != expected:
+                raise ConfigError(
+                    f"{sidecar} is stale: it was generated with {field.name} {found!r}, the config asks for"
+                    f" {expected!r}; run the generate command again"
+                )
+    return dataset
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +338,7 @@ def cmd_benchmark(args) -> int:
     root = output_dir(args, config)
     binary, sidecar = dataset_paths(root)
     if binary.exists() and sidecar.exists():
-        dataset = load_dataset(binary, sidecar)
+        dataset = require_dataset(root, config)
     else:
         dataset = generate_dataset(spec)
         save_dataset(dataset, binary, sidecar)

@@ -4,8 +4,9 @@ Each feature of the model owns a small weight matrix; these matrices are
 mapped to fixed-length vectors (unification), clustered with K-means, fuzzy
 C-means, or a Gaussian mixture, and turned into a binary feature-to-group
 membership matrix. A reclustering call runs the algorithm to convergence from
-the previous parameters and from seeded k-means++ restarts, keeps the best
-run, and keeps cluster ids matched to the previous centroids. Centroid motion
+the previous parameters and from seeded k-means++ restarts (a Gaussian
+mixture converges them together as one batched EM), keeps the best run, and
+keeps cluster ids matched to the previous centroids. Centroid motion
 between reclustering calls can be damped with an exponential moving average,
 and a differentiable intra/inter-cluster ratio regularizes the weights toward
 the current cluster structure.
@@ -34,6 +35,9 @@ DEGENERATE_LOSS = 1e6
 RECLUSTER_RESTARTS = 8  # k-means++ restarts per reclustering call
 CONVERGE_MAX_ITER = 100  # iterations per clustering run
 CONVERGE_TOL = 1e-9  # largest centroid coordinate shift counted as settled
+# responsibility mass, in points, below which a GMM component counts as
+# starved; a component holding one point sits just under 1
+STARVED_MASS = 0.5
 
 
 class ClusteringError(ValueError):
@@ -82,6 +86,8 @@ class ClusterState:
     membership matrix, everything needed to resume training mid-run."""
 
     kind: str  # kmeans | fuzzy | gmm
+    # a gmm may stack R runs: centroids, covariances and weights then gain a
+    # leading R axis
     centroids: np.ndarray  # (K, D)
     covariances: np.ndarray | None = None  # (K, D, D), gmm only; constrained by covariance_type
     weights: np.ndarray | None = None  # (K,) mixture weights, gmm only
@@ -97,13 +103,15 @@ class ClusterState:
             raise ValueError("fuzzy clustering needs fuzzifier m > 1")
         if self.kind == "gmm" and self.covariance_type not in COVARIANCE_TYPES:
             raise ValueError(f"unknown covariance type {self.covariance_type!r}")
-        k, d = self.centroids.shape
-        if self.kind == "gmm" and np.shape(self.covariances) != (k, d, d):
-            raise ValueError(f"gmm covariances must have shape {(k, d, d)}, got {np.shape(self.covariances)}")
+        if self.centroids.ndim != 2 and not (self.kind == "gmm" and self.centroids.ndim == 3):
+            raise ValueError(f"centroids must be (K, D), or (R, K, D) for gmm runs, got {self.centroids.shape}")
+        expected = self.centroids.shape + self.centroids.shape[-1:]
+        if self.kind == "gmm" and np.shape(self.covariances) != expected:
+            raise ValueError(f"gmm covariances must have shape {expected}, got {np.shape(self.covariances)}")
 
     @property
     def n_clusters(self) -> int:
-        return self.centroids.shape[0]
+        return self.centroids.shape[-2]
 
     def copy(self) -> "ClusterState":
         return replace(
@@ -203,68 +211,108 @@ def fcm_objective(points: np.ndarray, state: ClusterState) -> float:
 
 
 def _constrain(full: np.ndarray, covariance_type: str, weights: np.ndarray) -> np.ndarray:
-    """Project (K, D, D) covariances onto ``covariance_type``: full keeps them,
-    tied repeats their ``weights``-weighted mean (the size-weighted pooled
-    covariance), diagonal keeps their diagonals, spherical the mean of each
-    diagonal."""
+    """Project (..., K, D, D) covariances onto ``covariance_type``: full keeps
+    them, tied repeats their ``weights``-weighted mean (the size-weighted
+    pooled covariance), diagonal keeps their diagonals, spherical the mean of
+    each diagonal."""
     if covariance_type == "full":
         return full
     if covariance_type == "tied":
-        return np.broadcast_to(np.average(full, axis=0, weights=weights), full.shape).copy()
-    diags = np.diagonal(full, axis1=1, axis2=2)
+        pooled = (weights[..., None, None] * full).sum(axis=-3) / weights.sum(axis=-1)[..., None, None]
+        return np.broadcast_to(pooled[..., None, :, :], full.shape).copy()
+    diags = np.diagonal(full, axis1=-2, axis2=-1)
     if covariance_type == "spherical":
-        diags = diags.mean(axis=1, keepdims=True)
-    return diags[:, :, None] * np.eye(full.shape[1])
+        diags = diags.mean(axis=-1, keepdims=True)
+    return diags[..., None] * np.eye(full.shape[-1])
 
 
-def _log_gaussians(points: np.ndarray, state: ClusterState) -> np.ndarray:
-    """Per-point, per-component log N(x | mu_k, Sigma_k)."""
-    k, d = state.centroids.shape
-    out = np.empty((points.shape[0], k))
-    for j in range(k):
-        try:
-            chol = np.linalg.cholesky(state.covariances[j])
-        except np.linalg.LinAlgError:
-            raise ClusteringError(f"covariance of component {j} is singular despite jitter") from None
-        diff = points - state.centroids[j]
-        solved = np.linalg.solve(chol, diff.T)
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        out[:, j] = -0.5 * ((solved**2).sum(axis=0) + logdet + d * np.log(2.0 * np.pi))
-    return out
+def _cholesky(covariances: np.ndarray) -> np.ndarray:
+    """Cholesky factors of (..., K, D, D) covariances; a singular one raises
+    ClusteringError naming its component, and its run in a stack of runs."""
+    try:
+        return np.linalg.cholesky(covariances)
+    except np.linalg.LinAlgError:
+        for index in np.ndindex(covariances.shape[:-2]):
+            try:
+                np.linalg.cholesky(covariances[index])
+            except np.linalg.LinAlgError:
+                run = f"run {index[0]}: " if len(index) == 2 else ""
+                raise ClusteringError(f"{run}covariance of component {index[-1]} is singular despite jitter") from None
+        raise
 
 
-def gmm_log_likelihood(points: np.ndarray, state: ClusterState) -> float:
-    log_prob = _log_gaussians(points, state) + np.log(state.weights)[None, :]
-    peak = log_prob.max(axis=1, keepdims=True)
-    return float((peak[:, 0] + np.log(np.exp(log_prob - peak).sum(axis=1))).sum())
+def _log_joint(points: np.ndarray, state: ClusterState) -> np.ndarray:
+    """log(pi_k N(x_f | mu_k, Sigma_k)) as (..., F, K), one leading axis per
+    stacked run."""
+    d = state.centroids.shape[-1]
+    chol = _cholesky(state.covariances)
+    diff = points - state.centroids[..., :, None, :]  # (..., K, F, D)
+    solved = diff @ np.linalg.inv(chol).swapaxes(-1, -2)  # rows L^-1 (x - mu)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    log_gauss = -0.5 * ((solved**2).sum(axis=-1) + logdet[..., None] + d * np.log(2.0 * np.pi))
+    return log_gauss.swapaxes(-1, -2) + np.log(state.weights)[..., None, :]
+
+
+def _log_evidence(log_joint: np.ndarray) -> np.ndarray:
+    """log p(x_f) = log Σ_k exp(log_joint): (..., F)."""
+    peak = log_joint.max(axis=-1, keepdims=True)
+    return peak[..., 0] + np.log(np.exp(log_joint - peak).sum(axis=-1))
+
+
+def _responsibilities(log_joint: np.ndarray) -> np.ndarray:
+    prob = np.exp(log_joint - log_joint.max(axis=-1, keepdims=True))
+    return prob / prob.sum(axis=-1, keepdims=True)
+
+
+def gmm_log_likelihood(points: np.ndarray, state: ClusterState) -> float | np.ndarray:
+    """Σ_f log p(x_f): a float, or one per run of a stacked state."""
+    return _log_evidence(_log_joint(points, state)).sum(axis=-1)
 
 
 def gmm_responsibilities(points: np.ndarray, state: ClusterState) -> np.ndarray:
-    log_prob = _log_gaussians(points, state) + np.log(state.weights)[None, :]
-    log_prob -= log_prob.max(axis=1, keepdims=True)
-    prob = np.exp(log_prob)
-    return prob / prob.sum(axis=1, keepdims=True)
+    return _responsibilities(_log_joint(points, state))
+
+
+def _repair_starved(resp: np.ndarray, log_joint: np.ndarray, starved: np.ndarray):
+    """Give each starved component the worst-explained point of its run (the
+    lowest mixture density) not yet given to another, by making that point's
+    responsibility row one-hot on it; ``resp`` is changed in place."""
+    evidence = _log_evidence(log_joint)
+    for run in np.ndindex(starved.shape[:-1]):
+        worst = np.argsort(evidence[run], kind="stable")
+        for point, component in zip(worst, np.flatnonzero(starved[run])):
+            resp[run + (point,)] = 0.0
+            resp[run + (point, component)] = 1.0
 
 
 def gmm_em_step(points: np.ndarray, state: ClusterState):
     """One EM iteration. Returns (responsibilities, means, covariances, weights).
 
+    A state of R stacked runs steps every run at once, each result gaining a
+    leading R axis. A component with less than STARVED_MASS points of
+    responsibility takes the worst-explained point of its run outright, as an
+    empty K-means cluster takes the farthest point (Bishop, PRML §9.2).
     Covariances are (K, D, D), carry +1e-6 diagonal jitter and are
     constrained to the state's covariance_type.
     """
     points = np.asarray(points, dtype=np.float64)
-    k, d = state.centroids.shape
+    k, d = state.centroids.shape[-2:]
     if points.shape[0] < k:
         raise ValueError(f"need at least K={k} points, got {points.shape[0]}")
-    resp = gmm_responsibilities(points, state)
-    nk = resp.sum(axis=0)
-    nk = np.maximum(nk, 1e-12)
-    means = (resp.T @ points) / nk[:, None]
+    log_joint = _log_joint(points, state)
+    resp = _responsibilities(log_joint)
+    nk = resp.sum(axis=-2)
+    if (nk < STARVED_MASS).any():
+        _repair_starved(resp, log_joint, nk < STARVED_MASS)
+        nk = resp.sum(axis=-2)
+    nk = np.maximum(nk, 1e-12)  # a component a repair left empty keeps a finite mean
+    resp_t = resp.swapaxes(-1, -2)  # (..., K, F)
+    means = (resp_t @ points) / nk[..., None]
     weights = nk / points.shape[0]
-    weights = weights / weights.sum()
+    weights = weights / weights.sum(axis=-1, keepdims=True)
 
-    diff = points[:, None, :] - means[None, :, :]  # (F, K, D)
-    cov = np.einsum("fk,fki,fkj->kij", resp, diff, diff) / nk[:, None, None]
+    diff = points - means[..., :, None, :]  # (..., K, F, D)
+    cov = ((resp_t[..., None] * diff).swapaxes(-1, -2) @ diff) / nk[..., None, None]
     cov += COVARIANCE_JITTER * np.eye(d)
     return resp, means, _constrain(cov, state.covariance_type, weights), weights
 
@@ -558,27 +606,82 @@ def _ema_state(old: ClusterState, new: ClusterState, alpha: float, rule: str) ->
 
 
 def _objective(points: np.ndarray, state: ClusterState) -> float:
-    """What the state's algorithm minimizes: K-means SSE, the FCM objective,
-    or the GMM negative log-likelihood."""
+    """What a K-means or fuzzy C-means state minimizes: the SSE or the FCM
+    objective."""
     if state.kind == "kmeans":
         return kmeans_sse(points, state.centroids)
-    if state.kind == "fuzzy":
-        return fcm_objective(points, state)
-    return -gmm_log_likelihood(points, state)
+    return fcm_objective(points, state)
+
+
+def _settled(updated: ClusterState, current: ClusterState) -> np.ndarray:
+    """Per run: whether no centroid coordinate moved more than CONVERGE_TOL."""
+    return (np.abs(updated.centroids - current.centroids) <= CONVERGE_TOL).all(axis=(-2, -1))
+
+
+def _stack(states: list[ClusterState]) -> ClusterState:
+    """GMM states stacked into one state of len(states) runs."""
+    return replace(
+        states[0],
+        centroids=np.stack([s.centroids for s in states]),
+        covariances=np.stack([s.covariances for s in states]),
+        weights=np.stack([s.weights for s in states]),
+        membership=None,
+    )
+
+
+def _runs(stacked: ClusterState, index) -> ClusterState:
+    """The run(s) ``index`` of a stacked GMM state (one run for an int)."""
+    return replace(
+        stacked,
+        centroids=stacked.centroids[index],
+        covariances=stacked.covariances[index],
+        weights=stacked.weights[index],
+    )
 
 
 def converge(points: np.ndarray, state: ClusterState) -> ClusterState:
     """Iterate the state's algorithm until its centroids stop moving (K-means
     reaches this exactly once the assignment is stable) or CONVERGE_MAX_ITER
-    iterations have run."""
+    iterations have run.
+
+    Stacked GMM runs converge together: each iteration is one batched EM step
+    over the runs still moving, and a run freezes once its own centroids
+    settle, so it stops where it would alone."""
+    if state.centroids.ndim == 3:
+        out = state.copy()
+        moving = np.arange(out.centroids.shape[0])
+        for _ in range(CONVERGE_MAX_ITER):
+            current = _runs(out, moving)
+            _, updated = update_step(points, current)
+            out.centroids[moving] = updated.centroids
+            out.covariances[moving] = updated.covariances
+            out.weights[moving] = updated.weights
+            moving = moving[~_settled(updated, current)]
+            if not moving.size:
+                break
+        return out
     current = state
     for _ in range(CONVERGE_MAX_ITER):
         _, updated = update_step(points, current)
-        settled = np.allclose(updated.centroids, current.centroids, rtol=0.0, atol=CONVERGE_TOL)
+        settled = _settled(updated, current)
         current = updated
         if settled:
             break
     return current
+
+
+def converge_best(points: np.ndarray, starts: list[ClusterState]) -> tuple[int, ClusterState]:
+    """Converge every start; return the index and converged state of the run
+    with the lowest objective (K-means SSE, FCM objective or GMM negative
+    log-likelihood), the first one on ties. GMM starts converge as one
+    batched EM."""
+    if starts[0].kind == "gmm":
+        runs = converge(points, _stack(starts))
+        best = int(np.argmax(gmm_log_likelihood(points, runs)))
+        return best, _runs(runs, best)
+    runs = [converge(points, start) for start in starts]
+    best = min(range(len(runs)), key=lambda r: _objective(points, runs[r]))
+    return best, runs[best]
 
 
 def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
@@ -643,28 +746,31 @@ def recluster(
 
     The clustering runs from the state's parameters (warm start) and, when a
     generator is given, from RECLUSTER_RESTARTS further k-means++ seedings
-    drawn from it; the run with the lowest objective wins, so a warm start
-    caught in a local optimum does not pin the grouping once the weights have
-    moved on. The winner's clusters are relabelled to match the previous
-    centroids. If the membership then differs from the state's stored matrix,
-    the parameter update is damped by the configured EMA rule and the
-    membership is recomputed once from the damped state, so that alpha near 1
-    keeps the grouping pinned to the previous cluster geometry. Returns
-    (membership, new state); the new state stores the membership it produced.
+    drawn from it (a GMM converges them all as one batched EM); the run with
+    the lowest objective wins, so a warm start caught in a local optimum does
+    not pin the grouping once the weights have moved on. The winner's
+    clusters are relabelled to match the previous centroids. If the
+    membership then differs from the state's stored matrix, the parameter
+    update is damped by the configured EMA rule and the membership is
+    recomputed once from the damped state, so that alpha near 1 keeps the
+    grouping pinned to the previous cluster geometry. Returns (membership,
+    new state); the new state stores the membership it produced.
     """
     points = unify_all(weights, options.combine_mode)
-    runs = [converge(points, state)]
+    starts = [state]
     for _ in range(RECLUSTER_RESTARTS if rng is not None else 0):
-        seeded = init_kmeanspp(
-            points,
-            state.n_clusters,
-            rng,
-            kind=state.kind,
-            fuzzifier=state.fuzzifier,
-            covariance_type=state.covariance_type,
+        starts.append(
+            init_kmeanspp(
+                points,
+                state.n_clusters,
+                rng,
+                kind=state.kind,
+                fuzzifier=state.fuzzifier,
+                covariance_type=state.covariance_type,
+            )
         )
-        runs.append(converge(points, seeded))
-    updated = match_clusters(min(runs, key=lambda run: _objective(points, run)), state.centroids)
+    _, best = converge_best(points, starts)
+    updated = match_clusters(best, state.centroids)
     member = membership_from_scores(score_points(points, updated), options.membership, options.delta)
     previous = state.membership
     if previous is not None and not np.array_equal(member, previous):

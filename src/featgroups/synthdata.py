@@ -214,12 +214,40 @@ def save_dataset(dataset: LabeledDataset, binary_path, sidecar_path):
         fh.write("\n")
 
 
+def _check_dataset(tensors: dict, sidecar: dict, binary_path, sidecar_path):
+    """Reject a dataset whose tensors are malformed or disagree with their
+    sidecar, naming the file and the offending sample, step and feature."""
+    for name in ("series", "labels"):
+        if name not in tensors:
+            raise ValueError(f"{binary_path}: no tensor {name!r}")
+    series, labels = tensors["series"], tensors["labels"]
+    if series.ndim != 3:
+        raise ValueError(f"{binary_path}: series must be (samples, length, features), got shape {series.shape}")
+    bad = np.argwhere(~np.isfinite(series))
+    if bad.size:
+        i, t, f = bad[0]
+        raise ValueError(f"{binary_path}: series[{i}, {t}, {f}] is {series[i, t, f]}")
+    if labels.shape != series.shape[:1]:
+        raise ValueError(f"{binary_path}: labels has shape {labels.shape}, expected ({series.shape[0]},)")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ValueError(f"{binary_path}: labels[{bad[0]}] is {labels[bad[0]]}, expected 0 or 1")
+    for axis, key in enumerate(("samples", "length", "features")):
+        if sidecar.get(key) != series.shape[axis]:
+            raise ValueError(
+                f"{sidecar_path}: {key} is {sidecar.get(key)!r}, but {binary_path} holds series of shape {series.shape}"
+            )
+
+
 def load_dataset(binary_path, sidecar_path) -> LabeledDataset:
+    """Read a dataset written by :func:`save_dataset`, checking its shapes,
+    values and sidecar."""
     tensors = read_tensors(binary_path)
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     if sidecar.get("schema") != DATASET_SCHEMA:
         raise ValueError(f"{sidecar_path}: unexpected schema {sidecar.get('schema')!r}")
+    _check_dataset(tensors, sidecar, binary_path, sidecar_path)
     generator = sidecar.get("generator")
     spec = None
     if generator is not None:

@@ -264,6 +264,21 @@ class TestOpsStructure:
         x[0:1, 1:].sum().backward()
         np.testing.assert_array_equal(x.grad, [[0, 1, 1], [0, 0, 0]])
 
+    def test_getitem_repeated_index_raises_naming_the_entry(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        with pytest.raises(ValueError, match=r"repeats entry \(axis 0 index 1\)"):
+            x[[1, 1, 3]]
+        with pytest.raises(ValueError, match=r"axis 0 index 3"):
+            x[[-1, 3]]
+
+    def test_getitem_distinct_fancy_indices_scatter(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        # two integer arrays reach (0, 2) and (1, 2): distinct entries
+        (x[[0, 1], [2, 2]].sum() + x[:, [0, 2]].sum()).backward()
+        np.testing.assert_array_equal(x.grad, [[1, 0, 2], [1, 0, 2]])
+        # a constant has no gradient to lose, so it may repeat an index
+        np.testing.assert_array_equal(Tensor(np.arange(4.0))[[1, 1]].data, [1.0, 1.0])
+
     def test_broadcast_add_bias(self):
         x = Tensor(np.ones((5, 2, 3)), requires_grad=True)
         bias = Tensor(np.zeros((2, 3)), requires_grad=True)

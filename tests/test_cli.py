@@ -10,7 +10,7 @@ import pytest
 from featgroups.cli import main
 from featgroups.model import GroupedStepwiseModel, ModelConfig
 from featgroups.serialization import read_checkpoint
-from featgroups.synthdata import load_dataset
+from featgroups.synthdata import GpSpec, generate_dataset, load_dataset, save_dataset
 from featgroups.trainer import ExperimentConfig, evaluate
 
 
@@ -174,6 +174,22 @@ class TestTrain:
         assert metrics.pop("partition") == results["partition"]
         assert metrics == results["metrics"]
 
+    def test_stale_dataset_exits_2_naming_the_field(self, tmp_path, capsys):
+        out = self._generate(tmp_path, write_config(tmp_path))
+        (tmp_path / "longer").mkdir()
+        stale = write_config(tmp_path / "longer", dict(TINY, dataset=dict(TINY["dataset"], length=6)))
+        assert run(["train", "--config", stale, "--out", out]) == 2
+        assert "generated with length 5, the config asks for 6" in capsys.readouterr().err
+        assert not Path(out, "results.json").exists()
+
+    def test_dataset_without_generator_settings_is_taken_as_it_is(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        dataset = generate_dataset(GpSpec(samples=60, length=5, seed=7))
+        dataset.spec = None
+        save_dataset(dataset, out / "dataset.bin", out / "dataset.json")
+        assert run(["train", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+
     def test_seed_sweep(self, tmp_path):
         config = write_config(tmp_path)
         out = self._generate(tmp_path, config)
@@ -235,6 +251,16 @@ class TestBenchmark:
         assert "psi" in capsys.readouterr().err
         assert not (out / "benchmark.csv").exists()
         assert not (out / "dataset.bin").exists()
+
+    def test_stale_dataset_exits_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run(["generate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        (tmp_path / "seed1").mkdir()
+        stale = write_config(tmp_path / "seed1", dict(TINY, dataset=dict(TINY["dataset"], seed=1)))
+        assert run(["benchmark", "--config", stale, "--out", str(out), "--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "dataset.json is stale: it was generated with seed 0, the config asks for 1" in err
+        assert not (out / "benchmark.csv").exists()
 
     def test_partial_failure_marks_row_failed(self, tmp_path):
         body = dict(TINY, train=dict(TINY["train"], groups=4))

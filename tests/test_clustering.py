@@ -2,17 +2,22 @@
 classical monotone objectives, membership rules, seeding, EMA algebra, and
 the differentiable regularizer against hand-computed values."""
 
+from dataclasses import replace
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from featgroups import clustering
 from featgroups.autodiff import Tensor, gradcheck
 from featgroups.clustering import (
     COMBINE_MODES,
+    COVARIANCE_TYPES,
     ClusterState,
     ClusteringError,
     ReclusterOptions,
+    converge,
+    converge_best,
     ema_centroids,
     ema_gaussian,
     fcm_objective,
@@ -229,6 +234,103 @@ class TestGmm:
         )
         with pytest.raises(ValueError, match="at least"):
             gmm_em_step(np.zeros((2, 1)), state)
+
+
+    def test_starved_component_takes_the_worst_explained_point(self):
+        # component 2 sits far from every point; the outlier at (3, 20) is
+        # the point the other two explain worst
+        rng = np.random.default_rng(16)
+        points = np.vstack([rng.normal(size=(10, 2)), rng.normal(size=(10, 2)) + 6.0, [[3.0, 20.0]]])
+        starved = ClusterState(
+            kind="gmm",
+            centroids=np.array([[0.0, 0.0], [6.0, 6.0], [500.0, -500.0]]),
+            covariances=np.stack([np.eye(2)] * 3),
+            weights=np.full(3, 1 / 3),
+        )
+        resp, mu, _, w = gmm_em_step(points, starved)
+        np.testing.assert_array_equal(resp[20], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(mu[2], points[20])
+        assert w[2] == pytest.approx(1 / 21)
+        # in a stack, only the starved run is repaired
+        healthy = replace(starved, centroids=np.array([[0.0, 0.0], [6.0, 6.0], [3.0, 20.0]]))
+        together = gmm_em_step(points, stacked([healthy, starved]))
+        for r, state in enumerate((healthy, starved)):
+            for batched, alone in zip(together, gmm_em_step(points, state)):
+                np.testing.assert_allclose(batched[r], alone, rtol=0, atol=1e-12)
+
+
+def stacked(states):
+    """One GMM state holding ``states`` as runs on a leading axis."""
+    return ClusterState(
+        kind="gmm",
+        centroids=np.stack([s.centroids for s in states]),
+        covariances=np.stack([s.covariances for s in states]),
+        weights=np.stack([s.weights for s in states]),
+        covariance_type=states[0].covariance_type,
+    )
+
+
+class TestBatchedGmm:
+    """Stacked GMM runs converge as one batched EM, each exactly as it would
+    alone."""
+
+    def _points(self):
+        rng = np.random.default_rng(50)
+        blobs = [(0.5, 0.0), (1.0, 4.0), (0.8, -3.0)]
+        return np.vstack([rng.normal(size=(12, 3)) * scale + shift for scale, shift in blobs])
+
+    def _starts(self, points, cov_type="full", n=9):
+        return [
+            init_kmeanspp(points, 3, np.random.default_rng(seed), kind="gmm", covariance_type=cov_type)
+            for seed in range(n)
+        ]
+
+    @pytest.mark.parametrize("cov_type", COVARIANCE_TYPES)
+    def test_matches_each_start_converged_alone(self, cov_type, monkeypatch):
+        points = self._points()
+        starts = self._starts(points, cov_type)
+        steps = []  # runs in each update_step call
+        original = clustering.update_step
+
+        def counting(pts, state):
+            steps.append(len(state.centroids) if state.centroids.ndim == 3 else 1)
+            return original(pts, state)
+
+        monkeypatch.setattr(clustering, "update_step", counting)
+        alone, iterations = [], []
+        for start in starts:
+            steps.clear()
+            alone.append(converge(points, start))
+            iterations.append(len(steps))
+        assert len(set(iterations)) > 1  # runs settle at different iterations
+        steps.clear()
+        together = converge(points, stacked(starts))
+        # each batched iteration steps the runs still moving: a run that
+        # settles after n iterations alone is in the first n
+        assert steps == [sum(n > i for n in iterations) for i in range(max(iterations))]
+        for r, run in enumerate(alone):
+            np.testing.assert_allclose(together.centroids[r], run.centroids, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(together.covariances[r], run.covariances, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(together.weights[r], run.weights, rtol=0, atol=1e-10)
+
+    def test_singular_run_raises_naming_run_and_component(self):
+        points = self._points()
+        starts = self._starts(points, n=3)
+        starts[1].covariances[2] = 0.0
+        with pytest.raises(ClusteringError, match=r"run 1: covariance of component 2 is singular"):
+            converge(points, stacked(starts))
+        with pytest.raises(ClusteringError, match=r"^covariance of component 2 is singular"):
+            converge(points, starts[1])
+
+    def test_winner_is_the_most_likely_run_and_the_first_on_ties(self):
+        points = self._points()
+        starts = self._starts(points)
+        index, best = converge_best(points, starts)
+        likelihoods = [gmm_log_likelihood(points, converge(points, s)) for s in starts]
+        assert gmm_log_likelihood(points, best) == pytest.approx(max(likelihoods), abs=1e-9)
+        np.testing.assert_array_equal(best.centroids, converge(points, stacked(starts)).centroids[index])
+        # two identical starts tie exactly: the warm start, run 0, wins
+        assert converge_best(points, [starts[3], starts[3].copy()])[0] == 0
 
 
 def assert_constrained(cov, covariance_type, k, d):

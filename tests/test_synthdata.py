@@ -1,10 +1,13 @@
 """Generator checks: GP sample statistics, the labeling rule against hand
 evaluation, static-transform shapes and algebra, and file round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from featgroups.metrics import ari
+from featgroups.serialization import write_tensors
 from featgroups.synthdata import (
     GpSpec,
     LabeledDataset,
@@ -193,3 +196,56 @@ class TestPersistence:
         export_csv(dataset, tmp_path / "d.csv")
         lines = (tmp_path / "d.csv").read_text().strip().splitlines()
         assert len(lines) == 2 + 5 * 20  # schema line + header + N*T rows
+
+
+class TestLoadValidation:
+    """A dataset whose tensors or sidecar are wrong fails on load, naming the
+    file and the sample, step or feature."""
+
+    def _saved(self, tmp_path, series=None, labels=None, **sidecar):
+        dataset = generate_dataset(GpSpec(samples=25, length=5, seed=3))
+        binary, side = tmp_path / "d.bin", tmp_path / "d.json"
+        save_dataset(dataset, binary, side)
+        series = dataset.series if series is None else series(dataset.series.copy())
+        labels = dataset.labels.astype(np.float64) if labels is None else labels(dataset.labels.astype(np.float64))
+        write_tensors(binary, {"series": series, "labels": labels})
+        if sidecar:
+            body = json.loads(side.read_text())
+            body.update(sidecar)
+            side.write_text(json.dumps(body))
+        return binary, side
+
+    def test_series_must_be_three_dimensional(self, tmp_path):
+        binary, side = self._saved(tmp_path, series=lambda s: s[:, :, 0])
+        with pytest.raises(ValueError, match=r"d\.bin: series must be \(samples, length, features\)"):
+            load_dataset(binary, side)
+
+    def test_non_finite_value_named_by_sample_step_feature(self, tmp_path):
+        def poke(series):
+            series[12, 3, 2] = np.nan
+            series[20, 0, 0] = np.inf
+            return series
+
+        binary, side = self._saved(tmp_path, series=poke)
+        with pytest.raises(ValueError, match=r"d\.bin: series\[12, 3, 2\] is nan"):
+            load_dataset(binary, side)
+
+    def test_labels_one_per_sample(self, tmp_path):
+        binary, side = self._saved(tmp_path, labels=lambda y: y[:-1])
+        with pytest.raises(ValueError, match=r"d\.bin: labels has shape \(24,\), expected \(25,\)"):
+            load_dataset(binary, side)
+
+    def test_labels_zero_or_one(self, tmp_path):
+        def poke(labels):
+            labels[7] = 2.0
+            return labels
+
+        binary, side = self._saved(tmp_path, labels=poke)
+        with pytest.raises(ValueError, match=r"d\.bin: labels\[7\] is 2\.0, expected 0 or 1"):
+            load_dataset(binary, side)
+
+    @pytest.mark.parametrize("key, value", [("samples", 26), ("length", 4), ("features", 7)])
+    def test_sidecar_sizes_match_the_series(self, tmp_path, key, value):
+        binary, side = self._saved(tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=rf"d\.json: {key} is {value}, but .*d\.bin holds series of shape"):
+            load_dataset(binary, side)
