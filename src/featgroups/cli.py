@@ -16,14 +16,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+import traceback
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .metrics import ari, nmi, silhouette
-from .serialization import write_checkpoint
+from .serialization import atomic_write, write_checkpoint
 from .synthdata import (
     GpSpec,
     LabeledDataset,
@@ -231,14 +232,15 @@ def run_single_training(
             "seed": seed,
             "divergence": exc.result.divergence_info,
         }
-        (out / "results.json").write_text(json.dumps(diagnostic, sort_keys=True, indent=2) + "\n")
+        with atomic_write(out / "results.json") as fh:
+            fh.write(json.dumps(diagnostic, sort_keys=True, indent=2) + "\n")
         raise
     write_run_artifacts(result, exp, out)
     return result.metrics
 
 
 def write_run_artifacts(result: TrainResult, exp: ExperimentConfig, out: Path):
-    with open(out / "history.jsonl", "w") as fh:
+    with atomic_write(out / "history.jsonl") as fh:
         for record in result.history:
             fh.write(record.to_json() + "\n")
     metrics = {k: v for k, v in result.metrics.items() if k != "partition"}
@@ -251,7 +253,8 @@ def write_run_artifacts(result: TrainResult, exp: ExperimentConfig, out: Path):
         "metrics": metrics,
         "partition": result.metrics.get("partition"),
     }
-    (out / "results.json").write_text(json.dumps(results, sort_keys=True, indent=2) + "\n")
+    with atomic_write(out / "results.json") as fh:
+        fh.write(json.dumps(results, sort_keys=True, indent=2) + "\n")
     model_state = result.model.state_dict()
     model_state["input_norm/mean"] = result.norm_mean
     model_state["input_norm/std"] = result.norm_std
@@ -346,16 +349,21 @@ def cmd_benchmark(args) -> int:
     cells = [(variant, seed) for variant in BENCHMARK_VARIANTS for seed in seeds]
     outcomes = []
     for variant, seed in cells:
+        cell = root / variant / f"seed_{seed}"
+        (cell / "error.txt").unlink(missing_ok=True)  # an earlier run's failure
         try:
             outcomes.append(benchmark_variant(variant, config, dataset, seed, root))
         except Exception as exc:  # a failed cell must not sink the table
-            outcomes.append({"error": f"{type(exc).__name__}: {exc}", "seconds": 0.0, "out": None})
+            cell.mkdir(parents=True, exist_ok=True)
+            with atomic_write(cell / "error.txt") as fh:
+                fh.write(traceback.format_exc())
+            outcomes.append({"error": f"{type(exc).__name__}: {exc}", "seconds": 0.0, "out": str(cell)})
     by_variant: dict[str, list] = {v: [] for v in BENCHMARK_VARIANTS}
     for (variant, seed), outcome in zip(cells, outcomes):
         by_variant[variant].append((seed, outcome))
 
     table_path = root / "benchmark.csv"
-    with open(table_path, "w") as fh:
+    with atomic_write(table_path) as fh:
         fh.write(f"# schema: {BENCHMARK_SCHEMA}\n")
         fh.write(
             "variant,seeds,ari_mean,ari_std,nmi_mean,nmi_std,"
@@ -382,6 +390,7 @@ def cmd_benchmark(args) -> int:
         "schema": BENCHMARK_SCHEMA,
         "version": __version__,
         "config_hash": config_hash(config),
+        "dataset": None if dataset.spec is None else asdict(dataset.spec),
         "seeds": seeds,
         "table": str(table_path),
         "runs": [
@@ -395,7 +404,8 @@ def cmd_benchmark(args) -> int:
             for (variant, seed), outcome in zip(cells, outcomes)
         ],
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with atomic_write(root / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(table_path.read_text(), end="")
     failures = [run for run in manifest["runs"] if run["error"]]
     for run in failures:
@@ -426,13 +436,13 @@ def cmd_history(args) -> int:
     out = Path(args.out) if args.out else path.parent
     out.mkdir(parents=True, exist_ok=True)
     flow_path = out / "cluster_flow.csv"
-    with open(flow_path, "w") as fh:
+    with atomic_write(flow_path) as fh:
         fh.write(f"# schema: {FLOW_SCHEMA}\n")
         fh.write("epoch,feature,cluster\n")
         for row in flow_rows:
             fh.write(f"{row[0]},{row[1]},{row[2]}\n")
     sizes_path = out / "cluster_sizes.csv"
-    with open(sizes_path, "w") as fh:
+    with atomic_write(sizes_path) as fh:
         fh.write(f"# schema: {FLOW_SCHEMA}\n")
         fh.write("epoch,cluster,size\n")
         for row in size_rows:

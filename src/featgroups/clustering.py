@@ -4,9 +4,9 @@ Each feature of the model owns a small weight matrix; these matrices are
 mapped to fixed-length vectors (unification), clustered with K-means, fuzzy
 C-means, or a Gaussian mixture, and turned into a binary feature-to-group
 membership matrix. A reclustering call runs the algorithm to convergence from
-the previous parameters and from seeded k-means++ restarts (a Gaussian
-mixture converges them together as one batched EM), keeps the best run, and
-keeps cluster ids matched to the previous centroids. Centroid motion
+the previous parameters and from seeded k-means++ restarts, all stacked as
+runs of one state that converge together as one batch, keeps the best run,
+and keeps cluster ids matched to the previous centroids. Centroid motion
 between reclustering calls can be damped with an exponential moving average,
 and a differentiable intra/inter-cluster ratio regularizes the weights toward
 the current cluster structure.
@@ -86,8 +86,8 @@ class ClusterState:
     membership matrix, everything needed to resume training mid-run."""
 
     kind: str  # kmeans | fuzzy | gmm
-    # a gmm may stack R runs: centroids, covariances and weights then gain a
-    # leading R axis
+    # a state may stack R runs: centroids, covariances and weights then gain
+    # a leading R axis
     centroids: np.ndarray  # (K, D)
     covariances: np.ndarray | None = None  # (K, D, D), gmm only; constrained by covariance_type
     weights: np.ndarray | None = None  # (K,) mixture weights, gmm only
@@ -103,8 +103,8 @@ class ClusterState:
             raise ValueError("fuzzy clustering needs fuzzifier m > 1")
         if self.kind == "gmm" and self.covariance_type not in COVARIANCE_TYPES:
             raise ValueError(f"unknown covariance type {self.covariance_type!r}")
-        if self.centroids.ndim != 2 and not (self.kind == "gmm" and self.centroids.ndim == 3):
-            raise ValueError(f"centroids must be (K, D), or (R, K, D) for gmm runs, got {self.centroids.shape}")
+        if self.centroids.ndim not in (2, 3):
+            raise ValueError(f"centroids must be (K, D), or (R, K, D) for R runs, got {self.centroids.shape}")
         expected = self.centroids.shape + self.centroids.shape[-1:]
         if self.kind == "gmm" and np.shape(self.covariances) != expected:
             raise ValueError(f"gmm covariances must have shape {expected}, got {np.shape(self.covariances)}")
@@ -124,7 +124,8 @@ class ClusterState:
 
 
 def _distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
+    """Euclidean distances of (F, D) points to (..., K, D) centroids: (..., F, K)."""
+    diff = points[:, None, :] - centroids[..., None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
@@ -137,31 +138,39 @@ def kmeans_assign_and_update(points: np.ndarray, state: ClusterState):
     """One Lloyd step: hard-assign to nearest centroid, recompute means.
 
     Empty clusters steal the point farthest from its own centroid (skipping
-    points that are alone in theirs). Returns one-hot scores and new means.
+    points that are alone in theirs). Returns one-hot scores and new means,
+    each with a leading R axis for a state of R runs.
     """
-    points = np.asarray(points, dtype=np.float64)
-    k = state.n_clusters
-    if k > points.shape[0]:
-        raise ValueError(f"K={k} exceeds number of points {points.shape[0]}")
+    # the masked sum below is ten times slower on strided rows, such as a
+    # static baseline's transposed vectors
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n, k = points.shape[0], state.n_clusters
+    if k > n:
+        raise ValueError(f"K={k} exceeds number of points {n}")
     dist = _distances(points, state.centroids)
-    assign = dist.argmin(axis=1)
-    for empty in range(k):
-        if (assign == empty).any():
-            continue
-        sizes = np.bincount(assign, minlength=k)
-        eligible = sizes[assign] > 1
-        own_dist = np.where(eligible, dist[np.arange(points.shape[0]), assign], -np.inf)
-        assign[own_dist.argmax()] = empty
-    scores = np.zeros((points.shape[0], k))
-    scores[np.arange(points.shape[0]), assign] = 1.0
-    new_centroids = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
+    assign = dist.argmin(axis=-1)
+    for run in np.ndindex(assign.shape[:-1]):
+        labels = assign[run]  # a view: a repair writes through to assign
+        for empty in range(k):
+            if (labels == empty).any():
+                continue
+            sizes = np.bincount(labels, minlength=k)
+            own_dist = np.where(sizes[labels] > 1, dist[run][np.arange(n), labels], -np.inf)
+            labels[own_dist.argmax()] = empty
+    scores = (assign[..., None] == np.arange(k)).astype(np.float64)
+    # each cluster adds only its members, in their order, so a mean rounds
+    # as points[assign == j].mean(axis=0) does
+    members = scores.swapaxes(-1, -2)[..., None] > 0  # (..., K, F, 1)
+    every_point = np.broadcast_to(points, members.shape[:-1] + points.shape[-1:])
+    new_centroids = np.add.reduce(every_point, axis=-2, where=members) / members.sum(axis=-2)
     return scores, new_centroids
 
 
-def kmeans_sse(points: np.ndarray, centroids: np.ndarray) -> float:
-    """Within-cluster sum of squared distances under nearest-centroid assignment."""
+def kmeans_sse(points: np.ndarray, centroids: np.ndarray) -> float | np.ndarray:
+    """Within-cluster sum of squared distances under nearest-centroid
+    assignment: a float, or one per run of (R, K, D) centroids."""
     d = _distances(points, centroids)
-    return float((d.min(axis=1) ** 2).sum())
+    return (d.min(axis=-1) ** 2).sum(axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +182,8 @@ def fuzzy_memberships(points: np.ndarray, state: ClusterState):
     """One FCM step: memberships from current centroids, then weighted means.
 
     p_fk = 1 / Σ_l (d_fk / d_fl)^(2/(m−1)); a point coinciding with a centroid
-    gets membership 1 there (lowest such index on ties).
+    gets membership 1 there (lowest such index on ties). A state of R runs
+    steps every run at once, each result gaining a leading R axis.
     """
     points = np.asarray(points, dtype=np.float64)
     m = state.fuzzifier
@@ -182,27 +192,26 @@ def fuzzy_memberships(points: np.ndarray, state: ClusterState):
     dist = _distances(points, state.centroids)
     memberships = _fcm_scores(dist, m)
     pm = memberships**m
-    new_centroids = (pm.T @ points) / pm.sum(axis=0)[:, None]
+    new_centroids = (pm.swapaxes(-1, -2) @ points) / pm.sum(axis=-2)[..., None]
     return memberships, new_centroids
 
 
 def _fcm_scores(dist: np.ndarray, m: float) -> np.ndarray:
     exponent = 2.0 / (m - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (dist[:, :, None] / dist[:, None, :]) ** exponent
-        memberships = 1.0 / ratio.sum(axis=2)
-    zero_rows = (dist == 0.0).any(axis=1)
-    for f in np.flatnonzero(zero_rows):
-        memberships[f] = 0.0
-        memberships[f, int(np.flatnonzero(dist[f] == 0.0)[0])] = 1.0
-    return memberships
+        ratio = (dist[..., :, None] / dist[..., None, :]) ** exponent
+        memberships = 1.0 / ratio.sum(axis=-1)
+    zero = dist == 0.0
+    first_zero = np.arange(dist.shape[-1]) == zero.argmax(axis=-1)[..., None]
+    return np.where(zero.any(axis=-1, keepdims=True), first_zero, memberships)
 
 
-def fcm_objective(points: np.ndarray, state: ClusterState) -> float:
-    """Σ_{f,k} p_fk^m · d_fk² with memberships implied by the state's centroids."""
+def fcm_objective(points: np.ndarray, state: ClusterState) -> float | np.ndarray:
+    """Σ_{f,k} p_fk^m · d_fk² with memberships implied by the state's
+    centroids: a float, or one per run of a stacked state."""
     dist = _distances(points, state.centroids)
     p = _fcm_scores(dist, state.fuzzifier)
-    return float(((p**state.fuzzifier) * dist**2).sum())
+    return ((p**state.fuzzifier) * dist**2).sum(axis=(-2, -1))
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +237,8 @@ def _constrain(full: np.ndarray, covariance_type: str, weights: np.ndarray) -> n
 
 def _cholesky(covariances: np.ndarray) -> np.ndarray:
     """Cholesky factors of (..., K, D, D) covariances; a singular one raises
-    ClusteringError naming its component, and its run in a stack of runs."""
+    ClusteringError naming its component, and its run in a stack of more
+    than one run."""
     try:
         return np.linalg.cholesky(covariances)
     except np.linalg.LinAlgError:
@@ -236,7 +246,7 @@ def _cholesky(covariances: np.ndarray) -> np.ndarray:
             try:
                 np.linalg.cholesky(covariances[index])
             except np.linalg.LinAlgError:
-                run = f"run {index[0]}: " if len(index) == 2 else ""
+                run = f"run {index[0]}: " if len(index) == 2 and len(covariances) > 1 else ""
                 raise ClusteringError(f"{run}covariance of component {index[-1]} is singular despite jitter") from None
         raise
 
@@ -605,12 +615,14 @@ def _ema_state(old: ClusterState, new: ClusterState, alpha: float, rule: str) ->
     return out
 
 
-def _objective(points: np.ndarray, state: ClusterState) -> float:
-    """What a K-means or fuzzy C-means state minimizes: the SSE or the FCM
-    objective."""
+def _objective(points: np.ndarray, state: ClusterState) -> np.ndarray:
+    """Per run, what the state's algorithm minimizes: the K-means SSE, the FCM
+    objective or the GMM negative log-likelihood."""
     if state.kind == "kmeans":
         return kmeans_sse(points, state.centroids)
-    return fcm_objective(points, state)
+    if state.kind == "fuzzy":
+        return fcm_objective(points, state)
+    return -gmm_log_likelihood(points, state)
 
 
 def _settled(updated: ClusterState, current: ClusterState) -> np.ndarray:
@@ -618,25 +630,22 @@ def _settled(updated: ClusterState, current: ClusterState) -> np.ndarray:
     return (np.abs(updated.centroids - current.centroids) <= CONVERGE_TOL).all(axis=(-2, -1))
 
 
+def _run_arrays(state: ClusterState) -> dict[str, np.ndarray]:
+    """The parameters that gain a leading axis when runs are stacked."""
+    names = ("centroids", "covariances", "weights") if state.kind == "gmm" else ("centroids",)
+    return {name: getattr(state, name) for name in names}
+
+
 def _stack(states: list[ClusterState]) -> ClusterState:
-    """GMM states stacked into one state of len(states) runs."""
-    return replace(
-        states[0],
-        centroids=np.stack([s.centroids for s in states]),
-        covariances=np.stack([s.covariances for s in states]),
-        weights=np.stack([s.weights for s in states]),
-        membership=None,
-    )
+    """States stacked into one state of len(states) runs."""
+    arrays = [_run_arrays(s) for s in states]
+    stacked = {name: np.stack([a[name] for a in arrays]) for name in arrays[0]}
+    return replace(states[0], membership=None, **stacked)
 
 
 def _runs(stacked: ClusterState, index) -> ClusterState:
-    """The run(s) ``index`` of a stacked GMM state (one run for an int)."""
-    return replace(
-        stacked,
-        centroids=stacked.centroids[index],
-        covariances=stacked.covariances[index],
-        weights=stacked.weights[index],
-    )
+    """The run(s) ``index`` of a stacked state (one run for an int)."""
+    return replace(stacked, **{name: array[index] for name, array in _run_arrays(stacked).items()})
 
 
 def converge(points: np.ndarray, state: ClusterState) -> ClusterState:
@@ -644,44 +653,31 @@ def converge(points: np.ndarray, state: ClusterState) -> ClusterState:
     reaches this exactly once the assignment is stable) or CONVERGE_MAX_ITER
     iterations have run.
 
-    Stacked GMM runs converge together: each iteration is one batched EM step
-    over the runs still moving, and a run freezes once its own centroids
-    settle, so it stops where it would alone."""
-    if state.centroids.ndim == 3:
-        out = state.copy()
-        moving = np.arange(out.centroids.shape[0])
-        for _ in range(CONVERGE_MAX_ITER):
-            current = _runs(out, moving)
-            _, updated = update_step(points, current)
-            out.centroids[moving] = updated.centroids
-            out.covariances[moving] = updated.covariances
-            out.weights[moving] = updated.weights
-            moving = moving[~_settled(updated, current)]
-            if not moving.size:
-                break
-        return out
-    current = state
+    The runs of a stacked state converge together: each iteration is one
+    batched step over the runs still moving, and a run freezes once its own
+    centroids settle, so it stops where it would alone. A single (K, D) state
+    converges as a stack of one run. The result carries no membership."""
+    single = state.centroids.ndim == 2
+    out = _stack([state]) if single else state.copy()
+    moving = np.arange(out.centroids.shape[0])
     for _ in range(CONVERGE_MAX_ITER):
+        current = _runs(out, moving)
         _, updated = update_step(points, current)
-        settled = _settled(updated, current)
-        current = updated
-        if settled:
+        for name, array in _run_arrays(out).items():
+            array[moving] = getattr(updated, name)
+        moving = moving[~_settled(updated, current)]
+        if not moving.size:
             break
-    return current
+    return _runs(out, 0) if single else out
 
 
 def converge_best(points: np.ndarray, starts: list[ClusterState]) -> tuple[int, ClusterState]:
-    """Converge every start; return the index and converged state of the run
-    with the lowest objective (K-means SSE, FCM objective or GMM negative
-    log-likelihood), the first one on ties. GMM starts converge as one
-    batched EM."""
-    if starts[0].kind == "gmm":
-        runs = converge(points, _stack(starts))
-        best = int(np.argmax(gmm_log_likelihood(points, runs)))
-        return best, _runs(runs, best)
-    runs = [converge(points, start) for start in starts]
-    best = min(range(len(runs)), key=lambda r: _objective(points, runs[r]))
-    return best, runs[best]
+    """Converge every start as one run of a stack; return the index and
+    converged state of the run with the lowest objective (K-means SSE, FCM
+    objective or GMM negative log-likelihood), the first one on ties."""
+    runs = converge(points, _stack(starts))
+    best = int(np.argmin(_objective(points, runs)))
+    return best, _runs(runs, best)
 
 
 def _min_cost_matching(cost: np.ndarray) -> np.ndarray:
@@ -746,7 +742,7 @@ def recluster(
 
     The clustering runs from the state's parameters (warm start) and, when a
     generator is given, from RECLUSTER_RESTARTS further k-means++ seedings
-    drawn from it (a GMM converges them all as one batched EM); the run with
+    drawn from it, all converged together as one stacked batch; the run with
     the lowest objective wins, so a warm start caught in a local optimum does
     not pin the grouping once the weights have moved on. The winner's
     clusters are relabelled to match the previous centroids. If the

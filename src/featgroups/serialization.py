@@ -15,12 +15,16 @@ Checkpoints store model parameters under ``model/<name>`` and the clustering
 state under ``cluster/<field>``; non-numeric state fields (algorithm kind,
 covariance type) travel as single-element code tensors. A GMM's
 ``cluster/covariances`` is (K, D, D) for every covariance type.
+
+Every artifact is written through :func:`atomic_write`, so a reader sees the
+old file or the new one, never half of one.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +39,25 @@ COV_CODES = {"spherical": 0, "diagonal": 1, "full": 2, "tied": 3}
 COV_NAMES = {v: k for k, v in COV_CODES.items()}
 
 
-def write_tensors(path, tensors: dict[str, np.ndarray]):
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_args):
+    """Open a temporary file beside ``path`` for writing. A clean exit
+    replaces ``path`` with it in one step; an exception removes it and leaves
+    ``path`` as it was."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, **open_args) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+
+
+def write_tensors(path, tensors: dict[str, np.ndarray]):
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(tensors)))
         for name, array in tensors.items():
@@ -98,16 +118,39 @@ def cluster_state_tensors(state: ClusterState) -> dict[str, np.ndarray]:
     return out
 
 
-def cluster_state_from_tensors(tensors: dict[str, np.ndarray]) -> ClusterState:
-    kind = KIND_NAMES[int(tensors["cluster/kind_code"][0])]
-    state = ClusterState(
-        kind=kind,
-        centroids=tensors["cluster/centroids"],
-        covariances=tensors.get("cluster/covariances"),
-        weights=tensors.get("cluster/weights"),
-        fuzzifier=float(tensors["cluster/fuzzifier"][0]) if kind == "fuzzy" else None,
-        covariance_type=COV_NAMES[int(tensors["cluster/covtype_code"][0])] if kind == "gmm" else "full",
-    )
+def _required(tensors: dict[str, np.ndarray], name: str, source) -> np.ndarray:
+    if name not in tensors:
+        raise ValueError(f"{source}: no tensor {name!r}")
+    return tensors[name]
+
+
+def _decoded(tensors: dict[str, np.ndarray], name: str, names: dict[int, str], source) -> str:
+    code = _required(tensors, name, source).ravel()
+    if code.size != 1 or code[0] not in names:
+        known = ", ".join(f"{c} ({n})" for c, n in names.items())
+        raise ValueError(f"{source}: tensor {name!r} holds {code.tolist()}, expected one code of {known}")
+    return names[int(code[0])]
+
+
+def cluster_state_from_tensors(tensors: dict[str, np.ndarray], source="tensors") -> ClusterState:
+    """The single-run clustering state stored in ``tensors``; a missing
+    tensor, an unknown code or a malformed array raises ValueError naming
+    ``source`` and the tensor."""
+    kind = _decoded(tensors, "cluster/kind_code", KIND_NAMES, source)
+    centroids = _required(tensors, "cluster/centroids", source)
+    if centroids.ndim != 2:
+        raise ValueError(f"{source}: tensor 'cluster/centroids' must be (K, D), got shape {centroids.shape}")
+    fields = {}
+    if kind == "gmm":
+        fields["covariances"] = _required(tensors, "cluster/covariances", source)
+        fields["weights"] = _required(tensors, "cluster/weights", source)
+        fields["covariance_type"] = _decoded(tensors, "cluster/covtype_code", COV_NAMES, source)
+    if kind == "fuzzy":
+        fields["fuzzifier"] = float(_required(tensors, "cluster/fuzzifier", source)[0])
+    try:
+        state = ClusterState(kind=kind, centroids=centroids, **fields)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     if "cluster/membership" in tensors:
         state.membership = tensors["cluster/membership"].copy()
     return state
@@ -124,4 +167,4 @@ def read_checkpoint(path):
     model_state = {
         name[len("model/") :]: value for name, value in tensors.items() if name.startswith("model/")
     }
-    return model_state, cluster_state_from_tensors(tensors)
+    return model_state, cluster_state_from_tensors(tensors, path)

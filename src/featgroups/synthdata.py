@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import converge, hard_membership, init_kmeanspp, score_points
-from .serialization import read_tensors, write_tensors
+from .serialization import atomic_write, read_tensors, write_tensors
 
 STATIC_MODES = ("flat", "time_mean", "sample_mean", "full_mean")
 
@@ -209,7 +209,7 @@ def save_dataset(dataset: LabeledDataset, binary_path, sidecar_path):
             "seed": spec.seed,
         },
     }
-    with open(sidecar_path, "w") as fh:
+    with atomic_write(sidecar_path) as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -271,7 +271,7 @@ def load_dataset(binary_path, sidecar_path) -> LabeledDataset:
 def export_csv(dataset: LabeledDataset, path):
     """Row-per-timestep CSV for eyeballing the generated series."""
     n, t, f = dataset.series.shape
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["# schema", DATASET_SCHEMA])
         writer.writerow(["sample", "step"] + [f"x{j}" for j in range(f)] + ["label"])

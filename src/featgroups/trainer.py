@@ -5,8 +5,10 @@ Per batch: forward pass under the current membership matrix, combined loss
 After the optimizer step the feature weights are re-unified and reclustered
 on the configured cadence: each reclustering runs the clustering to
 convergence from the previous centroids and from k-means++ restarts seeded by
-the run's seed, keeps the best run with cluster ids matched to the previous
-ones, and EMA-damps centroid motion whenever the membership flips.
+the run's seed, all converged together as one stacked batch, keeps the best
+run with cluster ids matched to the previous ones, and EMA-damps centroid
+motion whenever the membership flips. The state the trainer keeps, and
+checkpoints, is always that single best run.
 
 The output bias starts at the log-odds of the training split's positive rate.
 Early stopping watches the validation supervised loss; its patience starts

@@ -273,6 +273,33 @@ class TestBenchmark:
         assert rows["static_flat"][-1] == "FAILED"
         assert rows["dynamic"][-1] == "OK"
 
+    def test_manifest_traces_the_dataset_and_each_failed_cell(self, tmp_path):
+        body = dict(TINY, train=dict(TINY["train"], groups=4))
+        out = tmp_path / "bench"
+        assert run(["benchmark", "--config", write_config(tmp_path, body), "--out", str(out), "--seeds", "0"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dataset"] == {
+            "features": 6,
+            "length": 5,
+            "samples": 60,
+            "length_scales": [1.0, 2.0, 4.0, 8.0, 1.0, 2.0],
+            "amplitudes": [0.5, 1.0, 3.5, 0.5, 0.5, 0.5],
+            "seed": 0,
+        }
+        failed = {run_info["variant"]: run_info for run_info in manifest["runs"] if run_info["error"]}
+        assert set(failed) == {"static_flat", "static_time_mean", "static_sample_mean", "static_full_mean"}
+        for variant, run_info in failed.items():
+            error = out / variant / "seed_0" / "error.txt"
+            assert run_info["out"] == str(error.parent)
+            text = error.read_text()
+            assert text.startswith("Traceback (most recent call last):")
+            assert "static_kmeans_baseline" in text
+            assert text.rstrip().endswith(run_info["error"])
+        assert not (out / "dynamic" / "seed_0" / "error.txt").exists()
+        # a later run in which the cells pass leaves no stale traceback
+        assert run(["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]) == 0
+        assert not list(out.glob("*/seed_0/error.txt"))
+
 
 class TestHistory:
     def _history_file(self, tmp_path, memberships):

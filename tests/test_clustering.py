@@ -260,19 +260,53 @@ class TestGmm:
 
 
 def stacked(states):
-    """One GMM state holding ``states`` as runs on a leading axis."""
+    """One state holding ``states`` as runs on a leading axis."""
+    gmm = states[0].kind == "gmm"
     return ClusterState(
-        kind="gmm",
+        kind=states[0].kind,
         centroids=np.stack([s.centroids for s in states]),
-        covariances=np.stack([s.covariances for s in states]),
-        weights=np.stack([s.weights for s in states]),
+        covariances=np.stack([s.covariances for s in states]) if gmm else None,
+        weights=np.stack([s.weights for s in states]) if gmm else None,
+        fuzzifier=states[0].fuzzifier,
         covariance_type=states[0].covariance_type,
     )
 
 
-class TestBatchedGmm:
-    """Stacked GMM runs converge as one batched EM, each exactly as it would
-    alone."""
+def converge_alone(points, state):
+    """The reference: the per-start loop that converged one (K, D) state at a
+    time. Returns the converged state and its iteration count."""
+    current = state
+    for iteration in range(1, clustering.CONVERGE_MAX_ITER + 1):
+        _, updated = update_step(points, current)
+        settled = (np.abs(updated.centroids - current.centroids) <= clustering.CONVERGE_TOL).all()
+        current = updated
+        if settled:
+            break
+    return current, iteration
+
+
+def objective(points, state):
+    """What one (K, D) run minimizes: SSE, FCM objective or -log-likelihood."""
+    if state.kind == "kmeans":
+        return kmeans_sse(points, state.centroids)
+    if state.kind == "fuzzy":
+        return fcm_objective(points, state)
+    return -gmm_log_likelihood(points, state)
+
+
+class StackedRuns:
+    """Stacked runs of one algorithm converge as one batch, each exactly as
+    the per-start reference loop converges it alone; the best run is the
+    first minimum of the per-start objectives."""
+
+    kind = None
+
+    @pytest.fixture
+    def cov_type(self):
+        return "full"
+
+    def assert_same(self, batched, alone):
+        np.testing.assert_array_equal(batched, alone)
 
     def _points(self):
         rng = np.random.default_rng(50)
@@ -281,14 +315,17 @@ class TestBatchedGmm:
 
     def _starts(self, points, cov_type="full", n=9):
         return [
-            init_kmeanspp(points, 3, np.random.default_rng(seed), kind="gmm", covariance_type=cov_type)
+            init_kmeanspp(
+                points, 3, np.random.default_rng(seed), kind=self.kind, fuzzifier=2.0, covariance_type=cov_type
+            )
             for seed in range(n)
         ]
 
-    @pytest.mark.parametrize("cov_type", COVARIANCE_TYPES)
     def test_matches_each_start_converged_alone(self, cov_type, monkeypatch):
         points = self._points()
         starts = self._starts(points, cov_type)
+        alone, iterations = zip(*(converge_alone(points, start) for start in starts))
+        assert len(set(iterations)) > 1  # runs settle at different iterations
         steps = []  # runs in each update_step call
         original = clustering.update_step
 
@@ -297,21 +334,74 @@ class TestBatchedGmm:
             return original(pts, state)
 
         monkeypatch.setattr(clustering, "update_step", counting)
-        alone, iterations = [], []
-        for start in starts:
-            steps.clear()
-            alone.append(converge(points, start))
-            iterations.append(len(steps))
-        assert len(set(iterations)) > 1  # runs settle at different iterations
-        steps.clear()
         together = converge(points, stacked(starts))
         # each batched iteration steps the runs still moving: a run that
         # settles after n iterations alone is in the first n
         assert steps == [sum(n > i for n in iterations) for i in range(max(iterations))]
         for r, run in enumerate(alone):
-            np.testing.assert_allclose(together.centroids[r], run.centroids, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(together.covariances[r], run.covariances, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(together.weights[r], run.weights, rtol=0, atol=1e-10)
+            for name in ("centroids", "covariances", "weights"):
+                if getattr(run, name) is not None:
+                    self.assert_same(getattr(together, name)[r], getattr(run, name))
+        # a single (K, D) state converges as a stack of one run
+        steps.clear()
+        single = converge(points, starts[4])
+        assert single.centroids.shape == starts[4].centroids.shape
+        assert steps == [1] * iterations[4]
+        self.assert_same(single.centroids, alone[4].centroids)
+
+    def test_winner_is_the_first_minimum_of_the_per_start_objectives(self, cov_type):
+        points = self._points()
+        starts = self._starts(points, cov_type)
+        index, best = converge_best(points, starts)
+        runs = [converge_alone(points, start)[0] for start in starts]
+        values = [objective(points, run) for run in runs]
+        if self.kind == "gmm":
+            # batched and alone agree to rounding, so a near tie may go
+            # either way: the winner reaches the per-start minimum, and is the
+            # first minimum of the batched runs
+            assert objective(points, best) == pytest.approx(min(values), abs=1e-9)
+            values = list(objective(points, converge(points, stacked(starts))))
+        assert index == min(range(len(runs)), key=values.__getitem__)
+        self.assert_same(best.centroids, runs[index].centroids)
+        assert best.centroids.shape == starts[0].centroids.shape
+        # two identical starts tie exactly: the warm start, run 0, wins
+        assert converge_best(points, [starts[3], starts[3].copy()])[0] == 0
+
+
+class TestBatchedKmeans(StackedRuns):
+    kind = "kmeans"
+
+    def test_empty_cluster_repair_is_per_run(self):
+        # runs 1 and 2 each leave a different cluster empty and steal a point
+        # for it; run 0 needs no repair
+        points = np.array([[0.0], [0.1], [0.2], [50.0]])
+        runs = [
+            ClusterState(kind="kmeans", centroids=np.array([[0.0], [0.2], [50.0]])),
+            ClusterState(kind="kmeans", centroids=np.array([[0.0], [0.1], [100.0]])),
+            ClusterState(kind="kmeans", centroids=np.array([[0.1], [30.0], [50.0]])),
+        ]
+        scores, means = kmeans_assign_and_update(points, stacked(runs))
+        assert scores.shape == (3, 4, 3) and means.shape == (3, 3, 1)
+        for r, run in enumerate(runs):
+            alone_scores, alone_means = kmeans_assign_and_update(points, run)
+            np.testing.assert_array_equal(scores[r], alone_scores)
+            np.testing.assert_array_equal(means[r], alone_means)
+        np.testing.assert_array_equal(kmeans_sse(points, means), [kmeans_sse(points, m) for m in means])
+
+
+class TestBatchedFuzzy(StackedRuns):
+    kind = "fuzzy"
+
+
+class TestBatchedGmm(StackedRuns):
+    kind = "gmm"
+
+    @pytest.fixture(params=COVARIANCE_TYPES)
+    def cov_type(self, request):
+        return request.param
+
+    def assert_same(self, batched, alone):
+        np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-10)
 
     def test_singular_run_raises_naming_run_and_component(self):
         points = self._points()
@@ -321,16 +411,6 @@ class TestBatchedGmm:
             converge(points, stacked(starts))
         with pytest.raises(ClusteringError, match=r"^covariance of component 2 is singular"):
             converge(points, starts[1])
-
-    def test_winner_is_the_most_likely_run_and_the_first_on_ties(self):
-        points = self._points()
-        starts = self._starts(points)
-        index, best = converge_best(points, starts)
-        likelihoods = [gmm_log_likelihood(points, converge(points, s)) for s in starts]
-        assert gmm_log_likelihood(points, best) == pytest.approx(max(likelihoods), abs=1e-9)
-        np.testing.assert_array_equal(best.centroids, converge(points, stacked(starts)).centroids[index])
-        # two identical starts tie exactly: the warm start, run 0, wins
-        assert converge_best(points, [starts[3], starts[3].copy()])[0] == 0
 
 
 def assert_constrained(cov, covariance_type, k, d):

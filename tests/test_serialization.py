@@ -5,6 +5,7 @@ import pytest
 
 from featgroups.clustering import ClusterState, init_kmeanspp
 from featgroups.serialization import (
+    atomic_write,
     cluster_state_from_tensors,
     cluster_state_tensors,
     read_checkpoint,
@@ -72,6 +73,21 @@ class TestTensorFile:
         write_tensors(tmp_path / "b.bin", tensors)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"x": np.ones(2)})
+        old = path.read_bytes()
+        # the second tensor fails to convert after the first has been written
+        with pytest.raises(TypeError):
+            write_tensors(path, {"y": np.zeros(4), "z": object()})
+        assert path.read_bytes() == old
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("midway")
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
 
 class TestClusterState:
     @pytest.mark.parametrize("cov_type", ["spherical", "diagonal", "full", "tied"])
@@ -102,6 +118,31 @@ class TestClusterState:
         )
         with pytest.raises(ValueError, match="covariances"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"cluster/kind_code": np.array([7.0])}, r"'cluster/kind_code' holds \[7.0\], expected one code of 0 \("),
+            ({"cluster/kind_code": None}, r"no tensor 'cluster/kind_code'"),
+            ({"cluster/covtype_code": None}, r"no tensor 'cluster/covtype_code'"),
+            ({"cluster/centroids": np.zeros((1, 2, 3))}, r"'cluster/centroids' must be \(K, D\), got shape \(1, 2, 3"),
+        ],
+        ids=["unknown_kind", "no_kind", "no_covtype", "stacked_centroids"],
+    )
+    def test_malformed_cluster_tensors_name_the_file_and_tensor(self, tmp_path, change, message):
+        points = np.random.default_rng(3).normal(size=(6, 3))
+        state = init_kmeanspp(points, 2, np.random.default_rng(4), kind="gmm")
+        tensors = {"model/w": np.ones(2), **cluster_state_tensors(state)}
+        for name, value in change.items():
+            if value is None:
+                del tensors[name]
+            else:
+                tensors[name] = value
+        path = tmp_path / "ckpt.bin"
+        write_tensors(path, tensors)
+        with pytest.raises(ValueError, match=message) as info:
+            read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_fuzzy_roundtrip(self):
         state = ClusterState(kind="fuzzy", centroids=np.zeros((2, 2)), fuzzifier=2.5)
