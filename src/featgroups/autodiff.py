@@ -551,11 +551,17 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 
 
 def stack(tensors: list, axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = _as_tensor(t)
-        expanded.append(t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]))
-    return concat(expanded, axis=axis)
+    """Equal-shape tensors stacked on a new ``axis``, as one node whose backward hands out views."""
+    tensors = [_as_tensor(t) for t in tensors]
+    try:
+        data = np.stack([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise ShapeError("stack", *[t.shape for t in tensors]) from None
+
+    def backward(g):
+        return tuple(np.moveaxis(g, axis, 0))
+
+    return Tensor._op(data, tuple(tensors), backward)
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -653,12 +659,14 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One Adam update with bias correction; mutates ``params`` in place."""
+    """One Adam update with bias correction, in place; a parameter whose gradient is None stays put."""
     if len(params) != len(state.m):
         raise ShapeError("adam_step", (len(params),), (len(state.m),))
     state.t += 1
     t = state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        if g is None:
+            continue
         if g.shape != p.data.shape:
             raise ShapeError("adam_step", p.data.shape, g.shape)
         m *= beta1

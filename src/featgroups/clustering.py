@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 
 COMBINE_MODES = ("bias", "bias_sum_linear")
 MEMBERSHIP_MODES = ("hard", "soft")
@@ -49,30 +49,23 @@ class ClusteringError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def unify(weight: np.ndarray, combine_mode: str) -> np.ndarray:
-    """Map one feature's (2, H) weight matrix, a weight row over a bias row,
-    to a vector: [bias ‖ weight], or just [bias] in bias-only mode."""
+def unify(weights, combine_mode: str):
+    """Map (..., 2, H) weight matrices, a weight row over a bias row, to (..., D)
+    vectors: [bias ‖ weight] (D = 2H), or [bias] (D = H) in bias-only mode. An
+    array gives an array, possibly a view of ``weights``; a Tensor a Tensor."""
     if combine_mode not in COMBINE_MODES:
         raise ValueError(f"unknown combine mode {combine_mode!r}, expected one of {COMBINE_MODES}")
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2 or weight.shape[0] != 2:
-        raise ValueError(f"weight matrix must be 2 x H, got {weight.shape}")
+    if not isinstance(weights, Tensor):
+        weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim < 2 or weights.shape[-2] != 2:
+        raise ValueError(f"weights must be (..., 2, H), got {weights.shape}")
     if combine_mode == "bias":
-        return weight[1].copy()
-    return np.concatenate([weight[1], weight[0]])
+        return weights[..., 1, :]
+    return weights[..., ::-1, :].reshape(weights.shape[:-2] + (2 * weights.shape[-1],))
 
 
-def unify_tensor(weight: Tensor, combine_mode: str) -> Tensor:
-    """Differentiable twin of :func:`unify` for the regularizer path."""
-    if combine_mode not in COMBINE_MODES:
-        raise ValueError(f"unknown combine mode {combine_mode!r}, expected one of {COMBINE_MODES}")
-    if combine_mode == "bias":
-        return weight[1]
-    return concat([weight[1], weight[0]], axis=0)
-
-
-def unify_all(weights: list[np.ndarray], combine_mode: str) -> np.ndarray:
-    return np.stack([unify(w, combine_mode) for w in weights])
+# the name the acceptance tests import
+unify_tensor = unify
 
 
 # ----------------------------------------------------------------------
@@ -732,13 +725,13 @@ def match_clusters(state: ClusterState, reference: np.ndarray) -> ClusterState:
 
 
 def recluster(
-    weights: list[np.ndarray],
+    weights: np.ndarray,
     state: ClusterState,
     options: ReclusterOptions,
     rng: np.random.Generator | None = None,
 ):
-    """One reclustering call: unify the weights, run the clustering to
-    convergence, and derive the membership matrix from the result.
+    """One reclustering call: unify the (F, 2, H) feature weights, run the
+    clustering to convergence, and derive the membership matrix from the result.
 
     The clustering runs from the state's parameters (warm start) and, when a
     generator is given, from RECLUSTER_RESTARTS further k-means++ seedings
@@ -752,7 +745,7 @@ def recluster(
     grouping pinned to the previous cluster geometry. Returns (membership,
     new state); the new state stores the membership it produced.
     """
-    points = unify_all(weights, options.combine_mode)
+    points = unify(weights, options.combine_mode)
     starts = [state]
     for _ in range(RECLUSTER_RESTARTS if rng is not None else 0):
         starts.append(

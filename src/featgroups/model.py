@@ -171,8 +171,9 @@ class GroupedStepwiseModel:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def feature_weight_arrays(self) -> list[np.ndarray]:
-        return [t.data for t in self.feature_weights]
+    def feature_weight_arrays(self) -> np.ndarray:
+        """A (F, 2, H) copy of the feature weights, never aliasing the parameters."""
+        return np.stack([t.data for t in self.feature_weights])
 
     # ------------------------------------------------------------------
 
@@ -181,8 +182,8 @@ class GroupedStepwiseModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.config.n_features:
             raise ValueError(f"expected input (B, T, {self.config.n_features}), got {x.shape}")
-        w = stack([w[0] for w in self.feature_weights])  # (F, H)
-        wb = stack([w[1] for w in self.feature_weights])
+        both = stack(self.feature_weights)  # (F, 2, H)
+        w, wb = both[:, 0], both[:, 1]
         if self.config.psi == "mlp":
             # psi's first linear map folds into the per-feature one:
             # (x·w + b) @ W1 + b1 = x·(w @ W1) + (b @ W1 + b1)

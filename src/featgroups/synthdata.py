@@ -155,15 +155,18 @@ def static_transform(dataset: LabeledDataset, mode: str) -> np.ndarray:
     n, t, f = x.shape
     if mode == "flat":
         blocks = np.concatenate([x, y[:, None, None] * np.ones((n, 1, f))], axis=1)  # (N, T+1, F)
-        return blocks.transpose(2, 0, 1).reshape(f, n * (t + 1))
-    if mode == "time_mean":
+        out = blocks.transpose(2, 0, 1)
+    elif mode == "time_mean":
         means = x.mean(axis=1)  # (N, F)
         blocks = np.stack([means, y[:, None] * np.ones((n, f))], axis=2)  # (N, F, 2)
-        return blocks.transpose(1, 0, 2).reshape(f, 2 * n)
-    if mode == "sample_mean":
+        out = blocks.transpose(1, 0, 2)
+    elif mode == "sample_mean":
         means = x.mean(axis=0).T  # (F, T)
-        return np.concatenate([means, np.full((f, 1), y.mean())], axis=1)
-    return np.stack([x.mean(axis=(0, 1)), np.full(f, y.mean())], axis=1)  # (F, 2)
+        out = np.concatenate([means, np.full((f, 1), y.mean())], axis=1)
+    else:
+        out = np.stack([x.mean(axis=(0, 1)), np.full(f, y.mean())], axis=1)  # (F, 2)
+    # a transposed view would make every later pass over the vectors stride
+    return np.ascontiguousarray(out).reshape(f, -1)
 
 
 def static_kmeans_baseline(

@@ -41,8 +41,7 @@ from .clustering import (
     reg_basis,
     reg_loss,
     score_points,
-    unify_all,
-    unify_tensor,
+    unify,
 )
 from .metrics import ari, auprc, auroc, nmi, silhouette
 from .model import AGG_MODES, FEATURE_INITS, PSI_KINDS, GroupedStepwiseModel, ModelConfig, supervised_loss
@@ -215,9 +214,10 @@ def _partition_from_state(points, state: ClusterState, membership: np.ndarray, f
     return score_points(points, state).argmax(axis=1)
 
 
-def _clustering_metrics(dataset, points, state, membership, fixed: bool = False):
+def _clustering_metrics(dataset, model, state, membership, config: ExperimentConfig):
+    points = unify(model.feature_weight_arrays(), config.combine_mode)
     truth = dataset.truth_labels if dataset.truth_groups else None
-    partition = _partition_from_state(points, state, membership, fixed)
+    partition = _partition_from_state(points, state, membership, config.grouping == "fixed")
     ari_val = nmi_val = sil_val = None
     if truth is not None:
         ari_val = ari(truth, partition)
@@ -310,7 +310,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     params = model.parameters()
     adam = AdamState.for_params(params)
 
-    points = unify_all(model.feature_weight_arrays(), config.combine_mode)
+    points = unify(model.feature_weight_arrays(), config.combine_mode)
     state, membership = _init_clustering(config, points, rng_init)
     recluster_options = ReclusterOptions(
         combine_mode=config.combine_mode,
@@ -356,11 +356,8 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
             total = loss
             reg_value = 0.0
             if config.reg_weight > 0.0:
-                u = stack([unify_tensor(w, config.combine_mode) for w in model.feature_weights])
-                if config.reg_variant == "hard":
-                    basis = membership
-                else:
-                    basis = reg_basis(unify_all(model.feature_weight_arrays(), config.combine_mode), state)
+                u = unify(stack(model.feature_weights), config.combine_mode)
+                basis = membership if config.reg_variant == "hard" else reg_basis(u.data, state)
                 reg, _ = reg_loss(u, basis, state.centroids, config.reg_variant)
                 reg_value = reg.item()
                 total = loss + config.reg_weight * reg
@@ -378,13 +375,12 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
             epoch_losses.append(loss_value)
             epoch_regs.append(reg_value)
             # parameters of groups that are currently empty never enter the
-            # graph; clearing every grad first gives them zeros, not the
-            # gradient of the last step they took part in
+            # graph; clearing every grad first leaves theirs None, so Adam
+            # holds them and their moments still until the group fills again
             for p in params:
                 p.grad = None
             total.backward()
-            grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
-            adam_step(params, grads, adam, config.lr)
+            adam_step(params, [p.grad for p in params], adam, config.lr)
             step += 1
             if dynamic and config.recluster_unit == "batch" and step % config.recluster_every == 0:
                 membership, state = recluster(
@@ -397,10 +393,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
 
         val_logits = _batched_logits(model, x_val, membership, config.batch_size)
         val_loss = _mean_bce(val_logits, y_val)
-        points = unify_all(model.feature_weight_arrays(), config.combine_mode)
-        ari_val, nmi_val, sil_val, _ = _clustering_metrics(
-            dataset, points, state, membership, fixed=config.grouping == "fixed"
-        )
+        ari_val, nmi_val, sil_val, _ = _clustering_metrics(dataset, model, state, membership, config)
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -450,10 +443,7 @@ def evaluate(
     logits = _batched_logits(model, x_val, membership, config.batch_size)
     scores = 1.0 / (1.0 + np.exp(-logits))
     labels = dataset.labels[val_idx]
-    points = unify_all(model.feature_weight_arrays(), config.combine_mode)
-    ari_val, nmi_val, sil_val, partition = _clustering_metrics(
-        dataset, points, state, membership, fixed=config.grouping == "fixed"
-    )
+    ari_val, nmi_val, sil_val, partition = _clustering_metrics(dataset, model, state, membership, config)
     return {
         "auprc": auprc(scores, labels) if 0 < labels.sum() < labels.size else None,
         "auroc": auroc(scores, labels) if 0 < labels.sum() < labels.size else None,

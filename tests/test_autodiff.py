@@ -259,6 +259,30 @@ class TestOpsStructure:
         assert out.shape == (3, 2)
         np.testing.assert_array_equal(out.data[:, 0], [0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_stack_gradcheck(self, axis):
+        rng = np.random.default_rng(4)
+        parts = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+        weights = rng.normal(size=np.stack([p.data for p in parts], axis=axis).shape)
+
+        def loss():
+            out = stack(parts, axis=axis)
+            return (out * out * Tensor(weights)).sum()
+
+        assert gradcheck(loss, parts) < 1e-6
+
+    def test_stack_is_one_node_whose_backward_hands_out_views(self):
+        parts = [Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(3)]
+        out = stack(parts)
+        assert out._parents == tuple(parts)
+        grads = out._backward(np.arange(18.0).reshape(3, 2, 3))
+        assert all(g.base is not None for g in grads)
+        np.testing.assert_array_equal(grads[1], [[6, 7, 8], [9, 10, 11]])
+
+    def test_stack_mismatched_shapes_raise(self):
+        with pytest.raises(ShapeError, match="stack"):
+            stack([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+
     def test_getitem_gradient_scatter(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         x[0:1, 1:].sum().backward()
@@ -292,6 +316,20 @@ class TestAdam:
         state = AdamState.for_params([p])
         adam_step([p], [np.zeros(2)], state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
+
+    def test_none_gradient_leaves_param_and_moments_unchanged(self):
+        # a zero gradient still moves a parameter by the decaying first
+        # moment; None (the loss did not reach it) must not
+        held = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        drifting = Tensor(held.data.copy(), requires_grad=True)
+        state = AdamState.for_params([held, drifting])
+        adam_step([held, drifting], [np.ones(3), np.ones(3)], state, lr=0.002)
+        before = [held.data.copy(), state.m[0].copy(), state.v[0].copy()]
+        moved = drifting.data.copy()
+        adam_step([held, drifting], [None, np.zeros(3)], state, lr=0.002)
+        for want, got in zip(before, [held.data, state.m[0], state.v[0]]):
+            np.testing.assert_array_equal(got, want)
+        assert np.all(drifting.data < moved)
 
     def test_first_step_moves_by_lr_times_sign(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

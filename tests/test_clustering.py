@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from featgroups import clustering
-from featgroups.autodiff import Tensor, gradcheck
+from featgroups.autodiff import Tensor, gradcheck, stack
 from featgroups.clustering import (
     COMBINE_MODES,
     COVARIANCE_TYPES,
@@ -35,8 +35,6 @@ from featgroups.clustering import (
     score_points,
     soft_membership,
     unify,
-    unify_all,
-    unify_tensor,
     update_step,
 )
 
@@ -57,9 +55,27 @@ class TestUnify:
         with pytest.raises(ValueError, match="combine mode"):
             unify(self.w_num, "bias_avg_linear")
 
-    def test_tensor_twin_matches(self):
+    def test_stack_unifies_row_by_row(self):
+        weights = np.random.default_rng(0).normal(size=(5, 2, 3))
         for mode in COMBINE_MODES:
-            np.testing.assert_array_equal(unify_tensor(Tensor(self.w_num), mode).data, unify(self.w_num, mode))
+            expected = np.stack([unify(w, mode) for w in weights])
+            np.testing.assert_array_equal(unify(weights, mode), expected)
+            # a list of matrices unifies as their stack
+            np.testing.assert_array_equal(unify(list(weights), mode), expected)
+
+    def test_tensor_matches_array(self):
+        weights = np.random.default_rng(1).normal(size=(4, 2, 3))
+        for mode in COMBINE_MODES:
+            out = unify(Tensor(weights), mode)
+            assert isinstance(out, Tensor)
+            np.testing.assert_array_equal(out.data, unify(weights, mode))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (4, 3, 2)])
+    def test_malformed_shape_raises(self, shape):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, H\)"):
+            unify(np.zeros(shape), "bias_sum_linear")
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2, H\)"):
+            unify(Tensor(np.zeros(shape)), "bias")
 
 
 def brute_force_best_partition(points, k):
@@ -714,9 +730,7 @@ class TestRegLoss:
         member = hard_membership(rng.uniform(size=(4, 2)))
 
         def loss():
-            from featgroups.autodiff import stack
-
-            u = stack([unify_tensor(w, "bias_sum_linear") for w in weights])
+            u = unify(stack(weights), "bias_sum_linear")
             value, _ = reg_loss(u, member, centroids, "hard")
             return value
 
@@ -773,7 +787,7 @@ class TestRecluster:
         rng = np.random.default_rng(27)
         points = np.vstack([rng.normal(size=(4, 2)) * 0.2, rng.normal(size=(4, 2)) * 0.2 + 6.0])
         weights = self._weights_from_points(points)
-        unified = unify_all(weights, "bias")
+        unified = unify(weights, "bias")
         state = init_kmeanspp(unified, 2, np.random.default_rng(5), kind="gmm", covariance_type="diagonal")
         state.membership = hard_membership(score_points(unified, state))
         member, new_state = recluster(

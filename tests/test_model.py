@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from featgroups.autodiff import Tensor, gradcheck, stack
-from featgroups.clustering import reg_loss, unify_tensor
+from featgroups.clustering import reg_loss, unify
 from featgroups.model import (
     GroupedStepwiseModel,
     ModelConfig,
@@ -51,6 +51,15 @@ class TestFeatureEmbed:
         x = np.random.default_rng(1).normal(size=(2, 3, 2))
         h = fast.feature_embed(x)
         assert h.shape == (2, 3, 2, 3)
+
+    def test_feature_weight_arrays_is_a_stacked_copy(self):
+        model = make_model()
+        arrays = model.feature_weight_arrays()
+        assert arrays.shape == (4, 2, 3)
+        for row, w in zip(arrays, model.feature_weights):
+            np.testing.assert_array_equal(row, w.data)
+        arrays[:] = 0.0
+        assert all(np.any(w.data) for w in model.feature_weights)
 
 
 def phi_reference(h, params):
@@ -219,7 +228,7 @@ class TestGradients:
 
         def loss():
             sup = supervised_loss(model.forward(x, member), y)
-            u = stack([unify_tensor(w, "bias_sum_linear") for w in model.feature_weights])
+            u = unify(stack(model.feature_weights), "bias_sum_linear")
             reg, _ = reg_loss(u, member, centroids, "hard")
             return sup + 0.5 * reg
 
@@ -235,3 +244,23 @@ class TestGradients:
         clone = make_model()
         clone.load_state_dict(state)
         np.testing.assert_array_equal(clone.forward(x, member).data, base)
+
+
+class TestTapeSize:
+    def test_node_count_does_not_grow_with_feature_count(self, monkeypatch):
+        op = Tensor.__dict__["_op"].__func__
+        made = []
+        monkeypatch.setattr(Tensor, "_op", staticmethod(lambda *args: made.append(1) or op(*args)))
+        counts = []
+        for n_features in (4, 40):
+            # one training step: forward, regularizer, backward
+            model = make_model(feature_cards=[1] * n_features)
+            rng = np.random.default_rng(14)
+            x = rng.normal(size=(2, 3, n_features))
+            member = hard_groups(np.arange(n_features) % 2, 2)
+            made.clear()
+            u = unify(stack(model.feature_weights), "bias_sum_linear")
+            reg, _ = reg_loss(u, member, rng.normal(size=(2, 6)), "hard")
+            (supervised_loss(model.forward(x, member), np.array([0.0, 1.0])) + reg).backward()
+            counts.append(len(made))
+        assert counts[0] == counts[1]

@@ -118,6 +118,20 @@ class TestStaticTransforms:
         assert static_transform(self.dataset, "sample_mean").shape == (f, t + 1)
         assert static_transform(self.dataset, "full_mean").shape == (f, 2)
 
+    def test_modes_are_c_contiguous_with_reference_values(self):
+        x, y = self.dataset.series, self.dataset.labels.astype(float)
+        n, t, f = x.shape
+        expected = {
+            "flat": [np.concatenate([np.append(x[i, :, j], y[i]) for i in range(n)]) for j in range(f)],
+            "time_mean": [np.concatenate([[x[i, :, j].mean(), y[i]] for i in range(n)]) for j in range(f)],
+            "sample_mean": [np.append(x[:, :, j].mean(axis=0), y.mean()) for j in range(f)],
+            "full_mean": [[x[:, :, j].mean(), y.mean()] for j in range(f)],
+        }
+        for mode, rows in expected.items():
+            out = static_transform(self.dataset, mode)
+            assert out.flags.c_contiguous, mode
+            np.testing.assert_allclose(out, np.array(rows), rtol=1e-12, atol=1e-12, err_msg=mode)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="static transform"):
             static_transform(self.dataset, "median")

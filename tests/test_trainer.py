@@ -6,7 +6,7 @@ import pytest
 
 from featgroups import trainer
 from featgroups.autodiff import adam_step, stack
-from featgroups.clustering import reg_loss, unify_tensor
+from featgroups.clustering import reg_loss, unify
 from featgroups.model import GroupedStepwiseModel, ModelConfig, supervised_loss
 from featgroups.synthdata import GpSpec, assign_labels, generate_dataset
 from featgroups.trainer import (
@@ -151,10 +151,11 @@ class TestTrainLoop:
 
 
 class TestEmptyGroups:
-    def test_emptied_group_passes_zero_gradients_to_adam(self, monkeypatch):
+    def test_emptied_group_parameters_and_adam_moments_do_not_move(self, monkeypatch):
         # step 0 trains under the prior grouping [0, 0, 1, 1]; the recluster
         # after it moves every feature into group 0, so at step 1 group 1 is
-        # empty and must hand Adam zeros, not the gradient of step 0
+        # empty: the loss does not reach it, and Adam must leave its
+        # parameters and moments where step 0 left them
         spec = GpSpec(samples=40, features=4, length=5, length_scales=[1.0] * 4, amplitudes=[1.0] * 4)
         dataset = generate_dataset(spec)
         dataset.truth_groups = [[0, 1], [2, 3]]
@@ -169,8 +170,14 @@ class TestEmptyGroups:
         seen = []
 
         def recording_adam(params, grads, state, lr):
-            seen.append({p.name: g.copy() for p, g in zip(params, grads)})
-            return adam_step(params, grads, state, lr)
+            adam_step(params, grads, state, lr)
+            seen.append(
+                {
+                    p.name: (g, p.data.copy(), m.copy(), v.copy())
+                    for p, g, m, v in zip(params, grads, state.m, state.v)
+                }
+            )
+            return state
 
         monkeypatch.setattr(trainer, "recluster", emptying_recluster)
         monkeypatch.setattr(trainer, "adam_step", recording_adam)
@@ -182,8 +189,13 @@ class TestEmptyGroups:
         group1 = [name for name in seen[0] if name.startswith("group/1/")]
         assert len(group1) == 4
         for name in group1:
-            assert np.any(seen[0][name]), name
-            np.testing.assert_array_equal(seen[1][name], 0.0, err_msg=name)
+            (g0, *after0), (g1, *after1) = seen[0][name], seen[1][name]
+            assert np.any(g0), name
+            assert g1 is None, name
+            for before, after in zip(after0, after1):
+                np.testing.assert_array_equal(after, before, err_msg=name)
+        # a group the loss still reaches keeps moving
+        assert not np.array_equal(seen[0]["group/0/w1"][1], seen[1]["group/0/w1"][1])
 
 
 class TestLossIsolation:
@@ -204,7 +216,7 @@ class TestLossIsolation:
             )
             loss = supervised_loss(model.forward(x, member), y)
             if weight > 0.0:
-                u = stack([unify_tensor(w, "bias_sum_linear") for w in model.feature_weights])
+                u = unify(stack(model.feature_weights), "bias_sum_linear")
                 reg, _ = reg_loss(u, member, centroids, "hard")
                 loss = loss + weight * reg
             loss.backward()
