@@ -214,7 +214,7 @@ class Tensor:
         x = self
 
         def backward(g):
-            return (np.where(x.data > 0, g, 0.0),)
+            return (g * (x.data > 0),)
 
         return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
 

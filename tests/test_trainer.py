@@ -1,6 +1,8 @@
 """Training-loop checks on miniature datasets: early stopping, loss-term
 isolation, fixed-group equivalence, divergence handling, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,42 +152,49 @@ class TestTrainLoop:
         assert result.membership.sum(axis=1).min() >= 1
 
 
+def emptied_group_steps(monkeypatch):
+    """Adam's (grad, parameter, m, v) per parameter name at each of a run's
+    two steps. Step 0 trains under the prior grouping [0, 0, 1, 1]; the
+    recluster after it moves every feature into group 0, so at step 1 group 1
+    is empty and the loss does not reach it."""
+    spec = GpSpec(samples=40, features=4, length=5, length_scales=[1.0] * 4, amplitudes=[1.0] * 4)
+    dataset = generate_dataset(spec)
+    dataset.truth_groups = [[0, 1], [2, 3]]
+
+    def emptying_recluster(weights, state, options, rng):
+        member = np.zeros((4, 2))
+        member[:, 0] = 1.0
+        state = state.copy()
+        state.membership = member
+        return member, state
+
+    seen = []
+
+    def recording_adam(params, grads, state, lr):
+        adam_step(params, grads, state, lr)
+        seen.append(
+            {
+                p.name: (g, p.data.copy(), m.copy(), v.copy())
+                for p, g, m, v in zip(params, grads, state.m, state.v)
+            }
+        )
+        return state
+
+    monkeypatch.setattr(trainer, "recluster", emptying_recluster)
+    monkeypatch.setattr(trainer, "adam_step", recording_adam)
+    config = tiny_config(
+        groups=2, epochs=1, batch_size=18, init="prior", prior_groups=[0, 0, 1, 1], recluster_unit="batch"
+    )
+    train(config, dataset)
+    assert len(seen) == 2
+    return seen
+
+
 class TestEmptyGroups:
     def test_emptied_group_parameters_and_adam_moments_do_not_move(self, monkeypatch):
-        # step 0 trains under the prior grouping [0, 0, 1, 1]; the recluster
-        # after it moves every feature into group 0, so at step 1 group 1 is
-        # empty: the loss does not reach it, and Adam must leave its
-        # parameters and moments where step 0 left them
-        spec = GpSpec(samples=40, features=4, length=5, length_scales=[1.0] * 4, amplitudes=[1.0] * 4)
-        dataset = generate_dataset(spec)
-        dataset.truth_groups = [[0, 1], [2, 3]]
-
-        def emptying_recluster(weights, state, options, rng):
-            member = np.zeros((4, 2))
-            member[:, 0] = 1.0
-            state = state.copy()
-            state.membership = member
-            return member, state
-
-        seen = []
-
-        def recording_adam(params, grads, state, lr):
-            adam_step(params, grads, state, lr)
-            seen.append(
-                {
-                    p.name: (g, p.data.copy(), m.copy(), v.copy())
-                    for p, g, m, v in zip(params, grads, state.m, state.v)
-                }
-            )
-            return state
-
-        monkeypatch.setattr(trainer, "recluster", emptying_recluster)
-        monkeypatch.setattr(trainer, "adam_step", recording_adam)
-        config = tiny_config(
-            groups=2, epochs=1, batch_size=18, init="prior", prior_groups=[0, 0, 1, 1], recluster_unit="batch"
-        )
-        train(config, dataset)
-        assert len(seen) == 2
+        # Adam must leave the emptied group's parameters and moments where
+        # step 0 left them
+        seen = emptied_group_steps(monkeypatch)
         group1 = [name for name in seen[0] if name.startswith("group/1/")]
         assert len(group1) == 4
         for name in group1:
@@ -278,3 +287,89 @@ class TestEvaluate:
         )
         assert again["auroc"] == pytest.approx(result.metrics["auroc"])
         assert again["ari"] == pytest.approx(result.metrics["ari"])
+
+    def test_chunked_validation_logits_equal_one_forward(self, monkeypatch):
+        # a 40-sample validation split runs as chunks of 7, 7, 7, 7, 7, 5
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", 7)
+        dataset = tiny_dataset()
+        config = tiny_config(epochs=1, val_fraction=0.5)
+        result = train(config, dataset)
+        seen = []
+        original = trainer._batched_logits
+
+        def recording_logits(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(trainer, "_batched_logits", recording_logits)
+        evaluate(
+            result.model,
+            result.cluster_state,
+            result.membership,
+            dataset,
+            config,
+            result.norm_mean,
+            result.norm_std,
+        )
+        _, val_idx = _split_indices(
+            dataset.series.shape[0], config.val_fraction, np.random.default_rng([config.seed, 3])
+        )
+        x_val = (dataset.series[val_idx] - result.norm_mean) / result.norm_std
+        whole = result.model.forward(x_val, result.membership).data
+        assert len(seen) == 1 and whole.shape == (40,)
+        np.testing.assert_allclose(seen[0], whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
+
+
+class TestChunkedBatches:
+    """A batch runs as chunks of at most `trainer.CHUNK_ROWS` rows whose
+    weighted gradients add up to the full batch's gradient."""
+
+    def recorded_run(self, monkeypatch, chunk_rows, **overrides):
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", chunk_rows)
+        grads = []
+
+        def recording_adam(params, step_grads, state, lr):
+            grads.append({p.name: None if g is None else g.copy() for p, g in zip(params, step_grads)})
+            return adam_step(params, step_grads, state, lr)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_adam)
+        result = train(tiny_config(**overrides), tiny_dataset())
+        return grads, [r.train_loss for r in result.history]
+
+    def test_chunked_steps_equal_whole_batch_steps(self, monkeypatch):
+        # 72 training samples in batches of 40 and 32: chunks of 7 split
+        # both unevenly; the regularizer must enter each step exactly once
+        config = dict(epochs=2, reg_weight=0.1)
+        whole_grads, whole_losses = self.recorded_run(monkeypatch, 1000, **config)
+        chunk_grads, chunk_losses = self.recorded_run(monkeypatch, 7, **config)
+        assert len(chunk_grads) == len(whole_grads) == 4
+        for whole, chunked in zip(whole_grads, chunk_grads):
+            assert whole.keys() == chunked.keys()
+            # relative to the whole step's gradient: a few parameters (the
+            # attention query bias) get gradients of 1e-9 that are mostly
+            # cancellation, and the order of the sums moves their last digits
+            scale = np.sqrt(sum(np.sum(g**2) for g in whole.values()))
+            for name in whole:
+                assert np.linalg.norm(chunked[name] - whole[name]) < 1e-12 * scale, name
+        np.testing.assert_allclose(chunk_losses, whole_losses, rtol=1e-12)
+
+    def test_emptied_group_gradients_stay_none_across_chunks(self, monkeypatch):
+        # a batch of 18 runs as chunks of 7, 7 and 4, none reaching group 1
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", 7)
+        seen = emptied_group_steps(monkeypatch)
+        for name, (g0, *_) in seen[0].items():
+            assert g0 is not None, name
+            assert (seen[1][name][0] is None) == name.startswith("group/1/"), name
+
+    def test_one_epoch_at_the_paper_shape_stays_small(self):
+        # a default-config epoch at the paper's batch of 5000 (5040 training
+        # samples, two steps, 560 validation samples); unchunked, the same
+        # epoch peaked at 387 MB of numpy allocations, chunked at 65 MB
+        dataset = generate_dataset(GpSpec(samples=5600))
+        tracemalloc.start()
+        try:
+            train(ExperimentConfig(epochs=1), dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
