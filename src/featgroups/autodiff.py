@@ -55,39 +55,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _repeated_entry(key, shape: tuple) -> tuple | None:
-    """The first entry that index ``key`` reaches more than once, as (axis,
-    index) pairs over the axes that integer arrays index; None if it reaches
-    every entry at most once. Only integer-array parts of a key can repeat."""
-    parts = key if isinstance(key, tuple) else (key,)
-    arrays = [np.asarray(p) if isinstance(p, (list, np.ndarray)) else None for p in parts]
-
-    def width(part, array) -> int:
-        """How many axes of the indexed array one part of the key consumes."""
-        if part is None:
-            return 0
-        if part is Ellipsis:
-            return len(shape) - sum(width(p, a) for p, a in zip(parts, arrays) if p is not Ellipsis)
-        return array.ndim if array is not None and array.dtype == bool else 1
-
-    axis, axes, indices = 0, [], []
-    for part, array in zip(parts, arrays):
-        if array is not None and array.dtype.kind in "iu" and array.ndim:
-            axes.append(axis)
-            indices.append(array % shape[axis])
-        axis += width(part, array)
-    if not indices:
-        return None
-    flat = [a.ravel() for a in np.broadcast_arrays(*indices)]
-    _, first, counts = np.unique(
-        np.ravel_multi_index(flat, [shape[a] for a in axes]), return_index=True, return_counts=True
-    )
-    if (counts == 1).all():
-        return None
-    at = first[counts > 1].min()
-    return tuple((a, int(f[at])) for a, f in zip(axes, flat))
-
-
 def _as_tensor(x) -> "Tensor":
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -99,10 +66,9 @@ def _needs_grad(t: "Tensor") -> bool:
 class Tensor:
     """A dense float64 array that records the ops applied to it.
 
-    Leaves created with ``requires_grad=True`` are parameters: after
-    ``backward()`` the ``grad`` slot of each one the loss reaches holds
-    dL/dparam (overwritten, not accumulated). Leaves without
-    ``requires_grad`` are constants and never receive gradients.
+    Leaves created with ``requires_grad=True`` are parameters: ``backward()``
+    adds dL/dparam to the ``grad`` slot of each one the loss reaches. Leaves
+    without ``requires_grad`` are constants and never receive gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
@@ -303,17 +269,17 @@ class Tensor:
         return Tensor._op(data, (self,), backward)
 
     def __getitem__(self, key):
-        # fancy indexing can return a non-contiguous array, over which numpy
+        # basic indexing only: it reaches every entry at most once, so the
+        # backward's scatter by assignment loses no contribution
+        for part in key if isinstance(key, tuple) else (key,):
+            basic = part is None or part is Ellipsis or isinstance(part, slice)
+            if not basic and (isinstance(part, bool) or not isinstance(part, (int, np.integer))):
+                raise ValueError(f"index {part!r} is not an int, slice, Ellipsis or None")
+        # a basic index can return a non-contiguous view, over which numpy
         # reductions sum in another order; a C-ordered copy keeps that order
-        # (and the rounding) the same for every form of key
+        # (and the rounding) the same for every key
         data = np.asarray(self.data[key], order="C")
         shape = self.shape
-        # the backward scatters by assignment, which keeps one contribution
-        # per entry; a repeated entry would lose the others
-        repeated = _repeated_entry(key, shape) if _needs_grad(self) else None
-        if repeated is not None:
-            where = ", ".join(f"axis {a} index {i}" for a, i in repeated)
-            raise ValueError(f"index repeats entry ({where}) of a {shape} tensor, whose gradient would count once")
 
         def backward(g):
             full = np.zeros(shape)
@@ -327,12 +293,16 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every reachable ``requires_grad`` leaf.
+        """Add this loss's gradient to ``grad`` on every reachable
+        ``requires_grad`` leaf.
 
-        Must be called on a scalar (the loss). Leaf gradients are overwritten,
-        but only on the leaves this loss reaches: a parameter it does not
-        reach keeps the ``grad`` of an earlier backward, so a caller whose
-        graph can skip parameters sets their ``grad`` to None first.
+        Must be called on a scalar (the loss). A leaf's ``grad`` is the sum
+        over every backward since the caller last set it to None, so a
+        training step clears the gradients once and may then run several
+        backwards (one per loss term or per chunk of a batch); a leaf none
+        of them reached keeps ``grad`` None. Later contributions are added
+        out of place, so an array that two leaves or a pending gradient
+        share is never written through.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
@@ -362,7 +332,10 @@ class Tensor:
                 continue
             if node._backward is None:
                 if node.requires_grad:
-                    node.grad = g if g.flags.writeable else g.copy()
+                    if node.grad is not None:
+                        node.grad = node.grad + g
+                    else:
+                        node.grad = g if g.flags.writeable else g.copy()
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
@@ -683,13 +656,17 @@ def gradcheck(loss_fn, params: list, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn`` must rebuild the graph from the current parameter values on
-    every call. Error per coordinate is |a − n| / (|a| + |n| + 1e-12).
+    every call. The parameters' ``grad`` is cleared before the one backward,
+    so an earlier backward does not leak in. Error per coordinate is
+    |a − n| / (|a| + |n| + 1e-12).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     loss = loss_fn()
     if not np.isfinite(loss.data).all():
         raise FloatingPointError("loss is not finite")
+    for p in params:
+        p.grad = None
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0

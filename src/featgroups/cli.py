@@ -176,9 +176,12 @@ def parse_seeds(arg: str | None, fallback: list[int]) -> list[int]:
     if arg is None:
         return fallback
     try:
-        return [int(s) for s in arg.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in arg.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--seeds must be a comma-separated list of integers, got {arg!r}")
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds must list at least one seed, each once, got {arg!r}")
+    return seeds
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +340,7 @@ def cmd_benchmark(args) -> int:
     config = load_config(args.config, args.override)
     # a bad field fails the command before any data or cell, not cell by cell
     experiment_config(config)
+    seeds = parse_seeds(args.seeds, [0, 1, 2, 3, 4])
     spec = gp_spec(config)
     root = output_dir(args, config)
     binary, sidecar = dataset_paths(root)
@@ -345,7 +349,6 @@ def cmd_benchmark(args) -> int:
     else:
         dataset = generate_dataset(spec)
         save_dataset(dataset, binary, sidecar)
-    seeds = parse_seeds(args.seeds, [0, 1, 2, 3, 4])
     cells = [(variant, seed) for variant in BENCHMARK_VARIANTS for seed in seeds]
     outcomes = []
     for variant, seed in cells:

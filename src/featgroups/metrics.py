@@ -128,16 +128,8 @@ def auroc(scores, labels) -> float:
     Ties get midranks, so a tied positive/negative pair counts as half.
     """
     scores, pos = _check_scores_labels(scores, labels)
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0

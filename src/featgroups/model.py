@@ -248,10 +248,11 @@ class GroupedStepwiseModel:
         outputs = linear(hidden_units, w2, b2).reshape(b, t, len(params), h)
         if mode == "concat":
             return outputs.reshape(b, t, len(params) * h)
-        stacked = outputs[:, :, active]  # (B, T, n, H)
-        scores = (stacked * self.agg_query).sum(axis=3) * (1.0 / np.sqrt(h))
+        # an empty group's score of -inf gives its (zero) output weight 0
+        mask = Tensor(np.where([p is None for p in params], -np.inf, 0.0))
+        scores = (outputs * self.agg_query).sum(axis=3) * (1.0 / np.sqrt(h)) + mask
         weights = scores.softmax(axis=2)
-        return (stacked * weights.reshape(b, t, active.size, 1)).sum(axis=2)
+        return (outputs * weights.reshape(b, t, len(params), 1)).sum(axis=2)
 
     def sequence_forward(self, g: Tensor) -> Tensor:
         """(B, T, D) group-aggregated steps -> (B,) classification logits.

@@ -1,13 +1,14 @@
 """Joint supervised training with interleaved feature reclustering.
 
-Per batch: the batch runs as consecutive chunks of at most `CHUNK_ROWS`
-rows, each a forward pass under the current membership matrix and a backward
-pass. A chunk's supervised loss is weighted by its share of the batch and the
-trainer sums the chunk gradients, so no model op sees more than `CHUNK_ROWS`
+Per batch: the gradients are cleared, the weighted cluster-shape regularizer
+(which depends only on the weights) runs one backward of its own, and then the
+batch runs as consecutive chunks of at most `CHUNK_ROWS` rows, each a forward
+pass under the current membership matrix and a backward pass. A chunk's
+supervised loss is weighted by its share of the batch, and every backward adds
+to the parameters' gradients, so no model op sees more than `CHUNK_ROWS`
 samples at once and the step is the full-batch step up to rounding; a batch of
-`CHUNK_ROWS` rows or fewer is a single unweighted chunk. The weighted
-cluster-shape regularizer depends only on the weights, so it joins the first
-chunk's loss alone. Then one Adam step.
+`CHUNK_ROWS` rows or fewer is a single unweighted chunk. Then one Adam step on
+the summed gradients.
 After the optimizer step the feature weights are re-unified and reclustered
 on the configured cadence: each reclustering runs the clustering to
 convergence from the previous centroids and from k-means++ restarts seeded by
@@ -282,6 +283,10 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     rng_recluster = np.random.default_rng([config.seed, 4])
 
     train_idx, val_idx = _split_indices(x.shape[0], config.val_fraction, rng_split)
+    if train_idx.size == 0:
+        raise ValueError(
+            f"{x.shape[0]} samples with val_fraction {config.val_fraction} leave no training samples"
+        )
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
     norm_mean = np.zeros(x.shape[2])
@@ -361,27 +366,31 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         epoch_regs = []
         for start in range(0, order.size, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads = [None] * len(params)
-            loss_value = reg_value = 0.0
+            # parameters of groups that are currently empty never enter the
+            # graph; clearing every grad first leaves theirs None, so Adam
+            # holds them and their moments still until the group fills again
+            for p in params:
+                p.grad = None
+            reg_value = 0.0
+            if config.reg_weight > 0.0:
+                u = unify(stack(model.feature_weights), config.combine_mode)
+                basis = membership if config.reg_variant == "hard" else reg_basis(u.data, state)
+                reg, _ = reg_loss(u, basis, state.centroids, config.reg_variant)
+                reg_value = reg.item()
+                (config.reg_weight * reg).backward()
+            loss_value = 0.0
             for chunk in range(0, batch.size, CHUNK_ROWS):
                 rows = batch[chunk : chunk + CHUNK_ROWS]
-                # `logits`, `loss` and `total` keep the previous chunk's tape
-                # alive while this forward runs, on purpose. Freed before it,
-                # that tape leaves the top of the heap empty, malloc hands it
-                # back to the system, and every chunk page-faults its
-                # activations in afresh: a paper-shape epoch then took
-                # 0.9-1.1 s instead of 0.6-0.8 s on 2 CPUs
+                # `logits` and `loss` keep the previous chunk's tape alive
+                # while this forward runs, on purpose. Freed before it, that
+                # tape leaves the top of the heap empty, malloc hands it back
+                # to the system, and every chunk page-faults its activations
+                # in afresh: a paper-shape epoch then took 0.9-1.1 s instead
+                # of 0.6-0.8 s on 2 CPUs
                 logits = model.forward(x_train[rows], membership)
                 loss = supervised_loss(logits, y_train[rows])
                 if rows.size < batch.size:
                     loss = loss * (rows.size / batch.size)
-                total = loss
-                if chunk == 0 and config.reg_weight > 0.0:
-                    u = unify(stack(model.feature_weights), config.combine_mode)
-                    basis = membership if config.reg_variant == "hard" else reg_basis(u.data, state)
-                    reg, _ = reg_loss(u, basis, state.centroids, config.reg_variant)
-                    reg_value = reg.item()
-                    total = loss + config.reg_weight * reg
                 loss_value += loss.item()
                 if not np.isfinite(loss_value) or not np.isfinite(reg_value):
                     info = {
@@ -393,19 +402,10 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch} step {step}", make_result({}, True, info)
                     )
-                # parameters of groups that are currently empty never enter
-                # the graph; clearing every grad first leaves theirs None, so
-                # Adam holds them and their moments still until the group
-                # fills again
-                for p in params:
-                    p.grad = None
-                total.backward()
-                for i, p in enumerate(params):
-                    if p.grad is not None:
-                        grads[i] = p.grad if grads[i] is None else grads[i] + p.grad
+                loss.backward()
             epoch_losses.append(loss_value)
             epoch_regs.append(reg_value)
-            adam_step(params, grads, adam, config.lr)
+            adam_step(params, [p.grad for p in params], adam, config.lr)
             step += 1
             if dynamic and config.recluster_unit == "batch" and step % config.recluster_every == 0:
                 membership, state = recluster(

@@ -211,8 +211,23 @@ class TestTrain:
         out = self._generate(tmp_path, config)
         assert run(["train", "--config", config, "--out", out, "--seeds", "a,b"]) == 2
 
+    @pytest.mark.parametrize("seeds", [",", " ", "1,0,1"])
+    def test_seeds_listing_no_seed_or_a_repeat_exit_2(self, tmp_path, capsys, seeds):
+        config = write_config(tmp_path)
+        out = self._generate(tmp_path, config)
+        assert run(["train", "--config", config, "--out", out, "--seeds", seeds]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not any(Path(out).glob("seed_*"))
+
 
 class TestBenchmark:
+    @pytest.mark.parametrize("seeds", [",", "0,0"])
+    def test_seeds_listing_no_seed_or_a_repeat_exit_2(self, tmp_path, capsys, seeds):
+        out = tmp_path / "bench"
+        assert run(["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", seeds]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+
     def test_table_layout_and_oracle_row(self, tmp_path):
         config = write_config(tmp_path)
         out = str(tmp_path / "bench")

@@ -108,6 +108,16 @@ class TestGroupEmbed:
         g = model.group_embed(h, member)
         np.testing.assert_allclose(g.data, phi_reference(h, model.group_params[0]))
 
+    def test_empty_group_gets_no_attention(self):
+        # the one non-empty group takes all the attention weight
+        model = make_model(groups=3, agg_mode="attention")
+        x = np.random.default_rng(5).normal(size=(1, 2, 4))
+        h = model.feature_embed(x)
+        member = np.zeros((4, 3))
+        member[:, 1] = 1.0
+        g = model.group_embed(h, member)
+        np.testing.assert_allclose(g.data, phi_reference(h, model.group_params[1]))
+
     def test_unassigned_feature_rejected(self):
         model = make_model(groups=2)
         x = np.zeros((1, 1, 4))
@@ -198,9 +208,14 @@ class TestLoss:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("agg_mode", ["mean", "concat", "attention"])
-    def test_full_model_gradcheck(self, agg_mode):
-        model = make_model(agg_mode=agg_mode, feature_cards=[1, 1, 1], groups=2, hidden=2, seq_width=4)
+    @pytest.mark.parametrize(
+        "agg_mode, assignment, groups",
+        [pytest.param(mode, [0, 1, 0], 2, id=mode) for mode in ("mean", "concat", "attention")]
+        # group 2 of 3 is empty: its parameters stay off the tape
+        + [pytest.param(mode, [1, 0, 1], 3, id=f"{mode}-empty-group") for mode in ("mean", "concat", "attention")],
+    )
+    def test_full_model_gradcheck(self, agg_mode, assignment, groups):
+        model = make_model(agg_mode=agg_mode, feature_cards=[1, 1, 1], groups=groups, hidden=2, seq_width=4)
         # scale weights and inputs up so attention leaves the near-uniform
         # regime (tiny true gradients would sit at the finite-difference noise
         # floor); the data seed keeps ReLU pre-activations clear of kinks,
@@ -210,7 +225,7 @@ class TestGradients:
             p.data = p.data * 2.5
         x = rng.normal(size=(3, 4, 3)) * 2.0
         y = rng.integers(0, 2, size=3).astype(float)
-        member = hard_groups([0, 1, 0], 2)
+        member = hard_groups(assignment, groups)
 
         def loss():
             return supervised_loss(model.forward(x, member), y)

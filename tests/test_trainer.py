@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from featgroups import trainer
-from featgroups.autodiff import adam_step, stack
+from featgroups.autodiff import Tensor, adam_step, stack
 from featgroups.clustering import reg_loss, unify
 from featgroups.model import GroupedStepwiseModel, ModelConfig, supervised_loss
 from featgroups.synthdata import GpSpec, assign_labels, generate_dataset
@@ -127,6 +127,11 @@ class TestTrainLoop:
         assert result.diverged
         assert result.divergence_info["epoch"] == 0
         assert result.model is not None
+
+    def test_empty_training_split_fails_before_the_first_epoch(self):
+        # 3 samples at val_fraction 0.9: all 3 go to validation
+        with pytest.raises(ValueError, match=r"3 samples with val_fraction 0.9 leave no training samples"):
+            train(tiny_config(val_fraction=0.9), tiny_dataset(samples=3))
 
     def test_deterministic_histories(self):
         a = train(tiny_config(epochs=3), tiny_dataset())
@@ -352,6 +357,46 @@ class TestChunkedBatches:
             for name in whole:
                 assert np.linalg.norm(chunked[name] - whole[name]) < 1e-12 * scale, name
         np.testing.assert_allclose(chunk_losses, whole_losses, rtol=1e-12)
+
+    @pytest.mark.parametrize("chunk_rows", [1000, 7])
+    def test_regularizer_enters_the_step_as_part_of_the_first_chunk(self, monkeypatch, chunk_rows):
+        # the step's gradients must round exactly as one backward of the first
+        # chunk's loss plus the weighted regularizer, with the later chunks'
+        # gradients added after it in order
+        monkeypatch.setattr(trainer, "CHUNK_ROWS", chunk_rows)
+        backward = Tensor.backward
+        roots, steps = [], []
+
+        def recording_backward(self):
+            roots.append(self)
+            backward(self)
+
+        def gradients_of(root, params):
+            for p in params:
+                p.grad = None
+            backward(root)
+            return [p.grad for p in params]
+
+        def checking_adam(params, grads, state, lr):
+            reg, first, *rest = roots
+            expected = gradients_of(first + reg, params)
+            for root in rest:
+                for i, g in enumerate(gradients_of(root, params)):
+                    if g is not None:
+                        expected[i] = g if expected[i] is None else expected[i] + g
+            steps.append(len(roots))
+            for p, g, e in zip(params, grads, expected):
+                assert (g is None) == (e is None), p.name
+                if g is not None:
+                    np.testing.assert_array_equal(g, e, err_msg=p.name)
+            roots.clear()
+            return adam_step(params, grads, state, lr)
+
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
+        monkeypatch.setattr(trainer, "adam_step", checking_adam)
+        train(tiny_config(epochs=1, reg_weight=0.1), tiny_dataset())
+        # batches of 40 and 32 rows, each after the regularizer's backward
+        assert steps == ([2, 2] if chunk_rows == 1000 else [7, 6])
 
     def test_emptied_group_gradients_stay_none_across_chunks(self, monkeypatch):
         # a batch of 18 runs as chunks of 7, 7 and 4, none reaching group 1
