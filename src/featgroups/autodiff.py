@@ -625,19 +625,20 @@ class AdamState:
 
 def adam_step(
     params: list,
-    grads: list,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One Adam update with bias correction, in place; a parameter whose gradient is None stays put."""
+    """One Adam update with bias correction on each parameter's ``grad``, in
+    place; a parameter whose ``grad`` is None stays put, moments included."""
     if len(params) != len(state.m):
         raise ShapeError("adam_step", (len(params),), (len(state.m),))
     state.t += 1
     t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:

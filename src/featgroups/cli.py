@@ -150,9 +150,7 @@ def experiment_config(config: dict, **replacements) -> ExperimentConfig:
 def gp_spec(config: dict) -> GpSpec:
     try:
         return GpSpec(**config["dataset"])
-    except TypeError as exc:
-        raise ConfigError(f"dataset config invalid: {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"dataset config invalid: {exc}")
 
 

@@ -451,14 +451,15 @@ def ema_centroids(old: np.ndarray, new: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square roots of (..., D, D) SPD matrices."""
     vals, vecs = np.linalg.eigh(mat)
     if vals.min() <= 0:
         raise ClusteringError("covariance is not positive definite")
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def _check_spd(mat: np.ndarray, label: str):
-    if not np.allclose(mat, mat.T):
+    if not np.allclose(mat, mat.swapaxes(-1, -2)):
         raise ClusteringError(f"{label} covariance is not symmetric")
     try:
         np.linalg.cholesky(mat)
@@ -468,7 +469,8 @@ def _check_spd(mat: np.ndarray, label: str):
 
 def ema_gaussian(old: tuple, new: tuple, alpha: float, rule: str = "moment_matching") -> tuple:
     """Blend two Gaussian components (mean, full covariance) with weight
-    ``alpha`` on the old one.
+    ``alpha`` on the old one. (..., D) means and (..., D, D) covariances
+    blend each leading index as one pair of components.
 
     moment_matching treats the pair as a two-component mixture and returns
     the Gaussian with the mixture's moments; product_of_experts blends the
@@ -485,14 +487,15 @@ def ema_gaussian(old: tuple, new: tuple, alpha: float, rule: str = "moment_match
     if rule == "moment_matching":
         mu = alpha * mu1 + (1.0 - alpha) * mu2
         gap = mu1 - mu2
-        cov = alpha * cov1 + (1.0 - alpha) * cov2 + alpha * (1.0 - alpha) * np.outer(gap, gap)
+        outer = gap[..., :, None] * gap[..., None, :]
+        cov = alpha * cov1 + (1.0 - alpha) * cov2 + alpha * (1.0 - alpha) * outer
         return mu, cov
     if rule == "product_of_experts":
         p1 = np.linalg.inv(cov1)
         p2 = np.linalg.inv(cov2)
         cov = np.linalg.inv(alpha * p1 + (1.0 - alpha) * p2)
-        mu = cov @ (alpha * p1 @ mu1 + (1.0 - alpha) * p2 @ mu2)
-        return mu, 0.5 * (cov + cov.T)
+        mu = cov @ (alpha * p1 @ mu1[..., None] + (1.0 - alpha) * p2 @ mu2[..., None])
+        return mu[..., 0], 0.5 * (cov + cov.swapaxes(-1, -2))
     root = alpha * _spd_sqrt(cov1) + (1.0 - alpha) * _spd_sqrt(cov2)
     return alpha * mu1 + (1.0 - alpha) * mu2, root @ root
 
@@ -581,31 +584,21 @@ def update_step(points: np.ndarray, state: ClusterState):
     """One full iteration of the state's algorithm; returns (scores, new state)."""
     if state.kind == "kmeans":
         scores, centroids = kmeans_assign_and_update(points, state)
-        return scores, replace(state.copy(), centroids=centroids)
+        return scores, replace(state, centroids=centroids)
     if state.kind == "fuzzy":
         scores, centroids = fuzzy_memberships(points, state)
-        return scores, replace(state.copy(), centroids=centroids)
+        return scores, replace(state, centroids=centroids)
     scores, means, cov, weights = gmm_em_step(points, state)
-    return scores, replace(state.copy(), centroids=means, covariances=cov, weights=weights)
+    return scores, replace(state, centroids=means, covariances=cov, weights=weights)
 
 
 def _ema_state(old: ClusterState, new: ClusterState, alpha: float, rule: str) -> ClusterState:
     if old.kind != "gmm":
-        out = new.copy()
-        out.centroids = ema_centroids(old.centroids, new.centroids, alpha)
-        return out
-    means = np.empty_like(new.centroids)
-    full = np.empty_like(new.covariances)
-    for j in range(old.n_clusters):
-        means[j], full[j] = ema_gaussian(
-            (old.centroids[j], old.covariances[j]), (new.centroids[j], new.covariances[j]), alpha, rule
-        )
+        return replace(new, centroids=ema_centroids(old.centroids, new.centroids, alpha))
+    means, full = ema_gaussian((old.centroids, old.covariances), (new.centroids, new.covariances), alpha, rule)
     mixed = alpha * old.weights + (1.0 - alpha) * new.weights
-    out = new.copy()
-    out.centroids = means
-    out.weights = mixed / mixed.sum()
-    out.covariances = _constrain(full, old.covariance_type, out.weights)
-    return out
+    weights = mixed / mixed.sum()
+    return replace(new, centroids=means, covariances=_constrain(full, old.covariance_type, weights), weights=weights)
 
 
 def _objective(points: np.ndarray, state: ClusterState) -> np.ndarray:
@@ -637,7 +630,8 @@ def _stack(states: list[ClusterState]) -> ClusterState:
 
 
 def _runs(stacked: ClusterState, index) -> ClusterState:
-    """The run(s) ``index`` of a stacked state (one run for an int)."""
+    """The run(s) ``index`` of a stacked state (one run for an int); on a
+    single (K, D) state, its clusters in the order ``index``."""
     return replace(stacked, **{name: array[index] for name, array in _run_arrays(stacked).items()})
 
 
@@ -714,14 +708,7 @@ def match_clusters(state: ClusterState, reference: np.ndarray) -> ClusterState:
     lies nearest ``reference[k]`` (minimum total squared distance), keeping
     cluster ids, and with them the group-MLP parameters, stable."""
     gaps = reference[:, None, :] - state.centroids[None, :, :]
-    order = _min_cost_matching((gaps * gaps).sum(axis=-1))
-    out = state.copy()
-    out.centroids = state.centroids[order]
-    if state.weights is not None:
-        out.weights = state.weights[order]
-    if state.covariances is not None:
-        out.covariances = state.covariances[order]
-    return out
+    return _runs(state, _min_cost_matching((gaps * gaps).sum(axis=-1)))
 
 
 def recluster(

@@ -7,15 +7,17 @@ pass under the current membership matrix and a backward pass. A chunk's
 supervised loss is weighted by its share of the batch, and every backward adds
 to the parameters' gradients, so no model op sees more than `CHUNK_ROWS`
 samples at once and the step is the full-batch step up to rounding; a batch of
-`CHUNK_ROWS` rows or fewer is a single unweighted chunk. Then one Adam step on
-the summed gradients.
+`CHUNK_ROWS` rows or fewer is a single unweighted chunk. Then one Adam step,
+which reads the summed gradients from the parameters themselves.
 After the optimizer step the feature weights are re-unified and reclustered
 on the configured cadence: each reclustering runs the clustering to
 convergence from the previous centroids and from k-means++ restarts seeded by
 the run's seed, all converged together as one stacked batch, keeps the best
 run with cluster ids matched to the previous ones, and EMA-damps centroid
 motion whenever the membership flips. The state the trainer keeps, and
-checkpoints, is always that single best run.
+checkpoints, is always that single best run, and its `membership` is the
+trainer's only record of the grouping: the forward passes, the hard
+regularizer, the history and the returned result all read it from there.
 
 The output bias starts at the log-odds of the training split's positive rate.
 Early stopping watches the validation supervised loss; its patience starts
@@ -121,6 +123,12 @@ class ExperimentConfig:
         ):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("groups", 1), ("patience", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, low in (("lr", 0.0), ("fuzzifier", 1.0)):
+            if not getattr(self, name) > low:
+                raise ValueError(f"{name} must be > {low}, got {getattr(self, name)}")
         if self.recluster_every < 1:
             raise ValueError("recluster_every must be >= 1 (use recluster_unit='never' to disable)")
         if self.recluster_unit not in ("epoch", "batch", "never"):
@@ -169,9 +177,12 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
+    """The best-validation checkpoint of a run: its model, and its clustering
+    state, whose ``membership`` is the grouping that model was trained and
+    scored under, plus the run's per-epoch history and final metrics."""
+
     model: GroupedStepwiseModel
     cluster_state: ClusterState
-    membership: np.ndarray
     history: list  # EpochRecord
     best_epoch: int
     best_val_loss: float
@@ -180,6 +191,11 @@ class TrainResult:
     norm_std: np.ndarray | None = None
     diverged: bool = False
     divergence_info: dict | None = None
+
+    @property
+    def membership(self) -> np.ndarray:
+        """The checkpoint's (F, K) membership matrix, read from its state."""
+        return self.cluster_state.membership
 
 
 class TrainingDiverged(RuntimeError):
@@ -219,7 +235,7 @@ def _mean_bce(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _partition_from_state(points, state: ClusterState, membership: np.ndarray, fixed: bool) -> np.ndarray:
-    if fixed or state is None:
+    if fixed:
         # fixed groupings report the grouping actually used by the model
         return membership.argmax(axis=1)
     return score_points(points, state).argmax(axis=1)
@@ -238,8 +254,8 @@ def _clustering_metrics(dataset, model, state, membership, config: ExperimentCon
     return ari_val, nmi_val, sil_val, partition
 
 
-def _init_clustering(config: ExperimentConfig, points, rng_init):
-    kind = config.algorithm
+def _init_clustering(config: ExperimentConfig, points, rng_init) -> ClusterState:
+    """The run's initial clustering state, its membership set."""
     if config.grouping == "fixed":
         # fixed runs never recluster, so a centroid-only state suffices; an
         # empty fixed group (legal, e.g. random references) gets the global
@@ -249,26 +265,13 @@ def _init_clustering(config: ExperimentConfig, points, rng_init):
         centroids = np.empty((config.groups, points.shape[1]))
         for k in range(config.groups):
             centroids[k] = points[member[:, k] > 0].mean(axis=0) if sizes[k] else points.mean(axis=0)
-        state = ClusterState(kind="kmeans", centroids=centroids)
-        state.membership = member
-        return state, member
+        return ClusterState(kind="kmeans", centroids=centroids, membership=member)
+    algorithm = dict(kind=config.algorithm, fuzzifier=config.fuzzifier, covariance_type=config.covariance_type)
     if config.init == "prior":
-        member = _groups_to_matrix(config.prior_groups, config.groups)
-        state = init_prior(
-            points, member, kind=kind, fuzzifier=config.fuzzifier, covariance_type=config.covariance_type
-        )
-        return state, member
-    state = init_kmeanspp(
-        points,
-        config.groups,
-        rng_init,
-        kind=kind,
-        fuzzifier=config.fuzzifier,
-        covariance_type=config.covariance_type,
-    )
-    member = membership_from_scores(score_points(points, state), config.membership, config.delta)
-    state.membership = member
-    return state, member
+        return init_prior(points, _groups_to_matrix(config.prior_groups, config.groups), **algorithm)
+    state = init_kmeanspp(points, config.groups, rng_init, **algorithm)
+    state.membership = membership_from_scores(score_points(points, state), config.membership, config.delta)
+    return state
 
 
 def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
@@ -326,7 +329,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     adam = AdamState.for_params(params)
 
     points = unify(model.feature_weight_arrays(), config.combine_mode)
-    state, membership = _init_clustering(config, points, rng_init)
+    state = _init_clustering(config, points, rng_init)
     recluster_options = ReclusterOptions(
         combine_mode=config.combine_mode,
         membership=config.membership,
@@ -339,7 +342,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     history: list[EpochRecord] = []
     best_val = np.inf
     best_epoch = -1
-    best_snapshot = (model.state_dict(), state.copy(), membership.copy())
+    best_snapshot = (model.state_dict(), state.copy())
     stall = 0
     step = 0
 
@@ -349,7 +352,6 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         return TrainResult(
             model=best_model,
             cluster_state=best_snapshot[1],
-            membership=best_snapshot[2],
             history=history,
             best_epoch=best_epoch,
             best_val_loss=float(best_val),
@@ -374,7 +376,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
             reg_value = 0.0
             if config.reg_weight > 0.0:
                 u = unify(stack(model.feature_weights), config.combine_mode)
-                basis = membership if config.reg_variant == "hard" else reg_basis(u.data, state)
+                basis = state.membership if config.reg_variant == "hard" else reg_basis(u.data, state)
                 reg, _ = reg_loss(u, basis, state.centroids, config.reg_variant)
                 reg_value = reg.item()
                 (config.reg_weight * reg).backward()
@@ -387,7 +389,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                 # to the system, and every chunk page-faults its activations
                 # in afresh: a paper-shape epoch then took 0.9-1.1 s instead
                 # of 0.6-0.8 s on 2 CPUs
-                logits = model.forward(x_train[rows], membership)
+                logits = model.forward(x_train[rows], state.membership)
                 loss = supervised_loss(logits, y_train[rows])
                 if rows.size < batch.size:
                     loss = loss * (rows.size / batch.size)
@@ -405,27 +407,23 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                 loss.backward()
             epoch_losses.append(loss_value)
             epoch_regs.append(reg_value)
-            adam_step(params, [p.grad for p in params], adam, config.lr)
+            adam_step(params, adam, config.lr)
             step += 1
             if dynamic and config.recluster_unit == "batch" and step % config.recluster_every == 0:
-                membership, state = recluster(
-                    model.feature_weight_arrays(), state, recluster_options, rng_recluster
-                )
+                _, state = recluster(model.feature_weight_arrays(), state, recluster_options, rng_recluster)
         if dynamic and config.recluster_unit == "epoch" and (epoch + 1) % config.recluster_every == 0:
-            membership, state = recluster(
-                model.feature_weight_arrays(), state, recluster_options, rng_recluster
-            )
+            _, state = recluster(model.feature_weight_arrays(), state, recluster_options, rng_recluster)
 
-        val_logits = _batched_logits(model, x_val, membership)
+        val_logits = _batched_logits(model, x_val, state.membership)
         val_loss = _mean_bce(val_logits, y_val)
-        ari_val, nmi_val, sil_val, _ = _clustering_metrics(dataset, model, state, membership, config)
+        ari_val, nmi_val, sil_val, _ = _clustering_metrics(dataset, model, state, state.membership, config)
         history.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=float(np.mean(epoch_losses)),
                 reg_loss=float(np.mean(epoch_regs)),
                 val_loss=val_loss,
-                membership=membership.astype(int).tolist(),
+                membership=state.membership.astype(int).tolist(),
                 centroids=state.centroids.tolist(),
                 ari=ari_val,
                 nmi=nmi_val,
@@ -435,7 +433,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_snapshot = (model.state_dict(), state.copy(), membership.copy())
+            best_snapshot = (model.state_dict(), state.copy())
             stall = 0
         elif best_val < plateau_val or epoch >= plateau_epochs:
             stall += 1
@@ -451,7 +449,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
 
 def evaluate(
     model: GroupedStepwiseModel,
-    state: ClusterState | None,
+    state: ClusterState,
     membership: np.ndarray,
     dataset: LabeledDataset,
     config: ExperimentConfig,

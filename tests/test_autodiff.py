@@ -343,7 +343,8 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         state = AdamState.for_params([p])
-        adam_step([p], [np.zeros(2)], state, lr=0.1)
+        p.grad = np.zeros(2)
+        adam_step([p], state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_none_gradient_leaves_param_and_moments_unchanged(self):
@@ -352,10 +353,12 @@ class TestAdam:
         held = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
         drifting = Tensor(held.data.copy(), requires_grad=True)
         state = AdamState.for_params([held, drifting])
-        adam_step([held, drifting], [np.ones(3), np.ones(3)], state, lr=0.002)
+        held.grad, drifting.grad = np.ones(3), np.ones(3)
+        adam_step([held, drifting], state, lr=0.002)
         before = [held.data.copy(), state.m[0].copy(), state.v[0].copy()]
         moved = drifting.data.copy()
-        adam_step([held, drifting], [None, np.zeros(3)], state, lr=0.002)
+        held.grad, drifting.grad = None, np.zeros(3)
+        adam_step([held, drifting], state, lr=0.002)
         for want, got in zip(before, [held.data, state.m[0], state.v[0]]):
             np.testing.assert_array_equal(got, want)
         assert np.all(drifting.data < moved)
@@ -363,7 +366,8 @@ class TestAdam:
     def test_first_step_moves_by_lr_times_sign(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState.for_params([p])
-        adam_step([p], [np.array([0.3])], state, lr=0.01)
+        p.grad = np.array([0.3])
+        adam_step([p], state, lr=0.01)
         assert p.data[0] == pytest.approx(1.0 - 0.01, rel=1e-6)
 
     def test_quadratic_converges(self):
@@ -371,7 +375,8 @@ class TestAdam:
         state = AdamState.for_params([p])
         history = []
         for _ in range(200):
-            adam_step([p], [2.0 * p.data], state, lr=0.1)
+            p.grad = 2.0 * p.data
+            adam_step([p], state, lr=0.1)
             history.append(abs(float(p.data[0])))
         assert history[-1] < 0.05
         # |x| trends down across windows even if individual steps oscillate
@@ -382,4 +387,5 @@ class TestAdam:
         p = Tensor(np.ones(3), requires_grad=True)
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
-            adam_step([p], [np.ones(4)], state, lr=0.1)
+            p.grad = np.ones(4)
+            adam_step([p], state, lr=0.1)

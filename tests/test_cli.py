@@ -206,6 +206,27 @@ class TestTrain:
         assert run(["train", "--config", config, "--out", out, "--override", override]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (["batch_size=0"], "batch_size"),
+            (["epochs=0"], "epochs"),
+            (["groups=0"], "groups"),
+            (["lr=-1"], "lr"),
+            (["patience=-1"], "patience"),
+            (["algorithm=fuzzy", "fuzzifier=1.0"], "fuzzifier"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
+        config = write_config(tmp_path)
+        out = self._generate(tmp_path, config)
+        argv = ["train", "--config", config, "--out", out]
+        for item in overrides:
+            argv += ["--override", item]
+        assert run(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not (Path(out) / "results.json").exists()
+
     def test_bad_seeds_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = self._generate(tmp_path, config)

@@ -13,6 +13,7 @@ from featgroups.autodiff import Tensor, gradcheck, stack
 from featgroups.clustering import (
     COMBINE_MODES,
     COVARIANCE_TYPES,
+    EMA_RULES,
     ClusterState,
     ClusteringError,
     ReclusterOptions,
@@ -654,6 +655,20 @@ class TestEma:
         bad = np.diag([1.0, -1.0])
         with pytest.raises(ClusteringError):
             ema_gaussian((np.zeros(2), bad), (np.zeros(2), np.eye(2)), 0.5)
+
+    @pytest.mark.parametrize("rule", EMA_RULES)
+    def test_stacked_components_blend_each_as_alone_bitwise(self, rule):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            means = rng.normal(size=(2, 3, 12))
+            roots = rng.normal(size=(2, 3, 12, 12))
+            covs = roots @ roots.swapaxes(-1, -2) + np.eye(12)
+            alpha = rng.uniform(0.0, 1.0)
+            mu, cov = ema_gaussian((means[0], covs[0]), (means[1], covs[1]), alpha, rule)
+            for j in range(3):
+                mu_j, cov_j = ema_gaussian((means[0, j], covs[0, j]), (means[1, j], covs[1, j]), alpha, rule)
+                np.testing.assert_array_equal(mu[j], mu_j)
+                np.testing.assert_array_equal(cov[j], cov_j)
 
 
 class TestRegLoss:

@@ -5,6 +5,8 @@ evaluation, AUROC by comparing every positive/negative score pair. The
 oracles never share code with the implementations they check.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,22 @@ class TestNmi:
                 assert nmi(t, p) == pytest.approx(looped_nmi(t, p), abs=1e-12)
 
 
+def all_pairs_silhouette(points, labels):
+    """Silhouette from the full (F, F) distance matrix, built at once from
+    every (F, F, D) difference."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    scores = np.zeros(labels.size)
+    for i in range(labels.size):
+        same = labels == labels[i]
+        if same.sum() == 1:
+            continue
+        a = dist[i, same].sum() / (same.sum() - 1)
+        b = min(dist[i, labels == c].mean() for c in np.unique(labels) if c != labels[i])
+        scores[i] = 0.0 if max(a, b) == 0.0 else (b - a) / max(a, b)
+    return float(scores.mean())
+
+
 class TestSilhouette:
     def _blobs(self, rng, separation=30.0):
         # unit-variance blobs, centers ~50 sigma apart: mean silhouette ~0.95
@@ -170,6 +188,25 @@ class TestSilhouette:
     def test_one_cluster_raises(self):
         with pytest.raises(ValueError):
             silhouette(np.zeros((3, 2)), [0, 0, 0])
+
+    @pytest.mark.parametrize("shape, k", [((6, 2000), 3), ((240, 12), 4), ((9, 5), 2)])
+    def test_equals_the_all_pairs_formula_bitwise(self, shape, k):
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[1])
+        labels = np.arange(shape[0]) % k
+        assert silhouette(points, labels) == all_pairs_silhouette(points, labels)
+
+    def test_wide_points_stay_small(self):
+        # the static `flat` vectors' shape: all (F, F, D) differences and
+        # their squares would take 121 MB
+        points = np.random.default_rng(5).normal(size=(6, 210_000))
+        tracemalloc.start()
+        try:
+            silhouette(points, [0, 0, 1, 1, 2, 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.0f} MB"
 
 
 class TestAuroc:

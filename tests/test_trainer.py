@@ -66,6 +66,23 @@ class TestConfig:
             tiny_config(**kwargs)
 
     @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("batch_size", 0),
+            ("epochs", 0),
+            ("groups", 0),
+            ("lr", 0.0),
+            ("lr", -1.0),
+            ("lr", float("nan")),
+            ("patience", -1),
+            ("fuzzifier", 1.0),
+        ],
+    )
+    def test_out_of_range_value_names_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            tiny_config(**{name: value})
+
+    @pytest.mark.parametrize(
         "name",
         ["agg_mode", "psi", "membership", "combine_mode", "covariance_type", "ema_rule", "reg_variant", "feature_init"],
     )
@@ -81,10 +98,12 @@ class TestTrainLoop:
         assert all(r.reg_loss == 0.0 for r in result.history)
         assert all(np.array(r.membership).sum(axis=1).min() >= 1 for r in result.history)
 
-    def test_output_bias_starts_at_class_prior(self):
-        # zero epochs: the returned checkpoint is the model as built
+    def test_output_bias_starts_at_class_prior(self, monkeypatch):
+        # with Adam holding every parameter, the returned checkpoint is the
+        # model as built
+        monkeypatch.setattr(trainer, "adam_step", lambda params, state, lr: state)
         dataset = tiny_dataset()
-        config = tiny_config(epochs=0)
+        config = tiny_config(epochs=1)
         result = train(config, dataset)
         train_idx, _ = _split_indices(
             dataset.series.shape[0], config.val_fraction, np.random.default_rng([config.seed, 3])
@@ -157,6 +176,24 @@ class TestTrainLoop:
         assert result.membership.sum(axis=1).min() >= 1
 
 
+class TestGroupingRecord:
+    def test_result_and_history_read_the_grouping_from_the_state(self, monkeypatch):
+        returned = []
+        original = trainer.recluster
+
+        def recording_recluster(*args):
+            returned.append(original(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(trainer, "recluster", recording_recluster)
+        result = train(tiny_config(epochs=3, patience=3), tiny_dataset())
+        assert len(returned) == len(result.history) == 3
+        assert result.membership is result.cluster_state.membership
+        member, state = returned[-1]
+        assert member is state.membership
+        assert result.history[-1].membership == member.astype(int).tolist()
+
+
 def emptied_group_steps(monkeypatch):
     """Adam's (grad, parameter, m, v) per parameter name at each of a run's
     two steps. Step 0 trains under the prior grouping [0, 0, 1, 1]; the
@@ -175,13 +212,10 @@ def emptied_group_steps(monkeypatch):
 
     seen = []
 
-    def recording_adam(params, grads, state, lr):
-        adam_step(params, grads, state, lr)
+    def recording_adam(params, state, lr):
+        adam_step(params, state, lr)
         seen.append(
-            {
-                p.name: (g, p.data.copy(), m.copy(), v.copy())
-                for p, g, m, v in zip(params, grads, state.m, state.v)
-            }
+            {p.name: (p.grad, p.data.copy(), m.copy(), v.copy()) for p, m, v in zip(params, state.m, state.v)}
         )
         return state
 
@@ -333,9 +367,9 @@ class TestChunkedBatches:
         monkeypatch.setattr(trainer, "CHUNK_ROWS", chunk_rows)
         grads = []
 
-        def recording_adam(params, step_grads, state, lr):
-            grads.append({p.name: None if g is None else g.copy() for p, g in zip(params, step_grads)})
-            return adam_step(params, step_grads, state, lr)
+        def recording_adam(params, state, lr):
+            grads.append({p.name: None if p.grad is None else p.grad.copy() for p in params})
+            return adam_step(params, state, lr)
 
         monkeypatch.setattr(trainer, "adam_step", recording_adam)
         result = train(tiny_config(**overrides), tiny_dataset())
@@ -377,7 +411,8 @@ class TestChunkedBatches:
             backward(root)
             return [p.grad for p in params]
 
-        def checking_adam(params, grads, state, lr):
+        def checking_adam(params, state, lr):
+            grads = [p.grad for p in params]
             reg, first, *rest = roots
             expected = gradients_of(first + reg, params)
             for root in rest:
@@ -390,7 +425,9 @@ class TestChunkedBatches:
                 if g is not None:
                     np.testing.assert_array_equal(g, e, err_msg=p.name)
             roots.clear()
-            return adam_step(params, grads, state, lr)
+            for p, g in zip(params, grads):
+                p.grad = g  # the replayed backwards above overwrote them
+            return adam_step(params, state, lr)
 
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         monkeypatch.setattr(trainer, "adam_step", checking_adam)
