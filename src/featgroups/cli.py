@@ -214,6 +214,14 @@ def require_dataset(root: Path, config: dict) -> LabeledDataset:
     return dataset
 
 
+def require_groups_fit(groups: int, dataset: LabeledDataset):
+    """Clustering the dataset's features into `groups` clusters needs at
+    least as many features as groups."""
+    features = dataset.series.shape[2]
+    if groups > features:
+        raise ConfigError(f"train config invalid: groups {groups} exceeds the dataset's {features} features")
+
+
 # ----------------------------------------------------------------------
 # per-run artifacts
 # ----------------------------------------------------------------------
@@ -284,6 +292,9 @@ def cmd_train(args) -> int:
     root = output_dir(args, config)
     dataset = require_dataset(root, config)
     seeds = parse_seeds(args.seeds, [int(config["train"]["seed"])])
+    exp = experiment_config(config)
+    if exp.grouping == "dynamic":  # a fixed grouping may leave groups empty
+        require_groups_fit(exp.groups, dataset)
     for seed in seeds:
         out = root if len(seeds) == 1 else root / f"seed_{seed}"
         metrics = run_single_training(config, dataset, seed, out)
@@ -337,7 +348,7 @@ def benchmark_variant(
 def cmd_benchmark(args) -> int:
     config = load_config(args.config, args.override)
     # a bad field fails the command before any data or cell, not cell by cell
-    experiment_config(config)
+    exp = experiment_config(config)
     seeds = parse_seeds(args.seeds, [0, 1, 2, 3, 4])
     spec = gp_spec(config)
     root = output_dir(args, config)
@@ -347,6 +358,8 @@ def cmd_benchmark(args) -> int:
     else:
         dataset = generate_dataset(spec)
         save_dataset(dataset, binary, sidecar)
+    # every benchmark runs the dynamic grouping and the static K-means baselines
+    require_groups_fit(exp.groups, dataset)
     cells = [(variant, seed) for variant in BENCHMARK_VARIANTS for seed in seeds]
     outcomes = []
     for variant, seed in cells:

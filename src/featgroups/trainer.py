@@ -2,13 +2,17 @@
 
 Per batch: the gradients are cleared, the weighted cluster-shape regularizer
 (which depends only on the weights) runs one backward of its own, and then the
-batch runs as consecutive chunks of at most `CHUNK_ROWS` rows, each a forward
-pass under the current membership matrix and a backward pass. A chunk's
-supervised loss is weighted by its share of the batch, and every backward adds
-to the parameters' gradients, so no model op sees more than `CHUNK_ROWS`
-samples at once and the step is the full-batch step up to rounding; a batch of
-`CHUNK_ROWS` rows or fewer is a single unweighted chunk. Then one Adam step,
-which reads the summed gradients from the parameters themselves.
+batch runs as consecutive chunks of `chunk_rows` rows, each a forward pass
+under the current membership matrix and a backward pass. The chunk size keeps
+a chunk's per-feature activation (rows x steps x features x hidden) within
+`CHUNK_VALUES` values: 500 rows at the paper's 20 steps x 6 features x 6
+hidden, 31 rows at 8 steps x 240 features x 6, so the memory a pass needs does
+not grow with the feature count. A chunk's supervised loss is weighted by its
+share of the batch, and every backward adds to the parameters' gradients, so
+the step is the full-batch step up to rounding; a batch that fits in one chunk
+is a single unweighted chunk. Then one Adam step, which reads the summed
+gradients from the parameters themselves. The validation pass runs in the same
+chunks.
 After the optimizer step the feature weights are re-unified and reclustered
 on the configured cadence: each reclustering runs the clustering to
 convergence from the previous centroids and from k-means++ restarts seeded by
@@ -59,9 +63,11 @@ from .synthdata import LabeledDataset
 RESULTS_SCHEMA = "featgroups-results-v1"
 HISTORY_SCHEMA = "featgroups-history-v1"
 
-# rows per forward/backward pass, in training and validation alike: the
-# activations of a 500-row chunk at the paper's shape are ~3 MB, not ~29 MB
-CHUNK_ROWS = 500
+# values in one chunk's per-feature activation (rows x steps x features x
+# hidden), in training and validation alike: exactly a 500-row chunk at the
+# paper's 20 x 6 x 6, ~3 MB of float64 per activation where the paper's batch
+# of 5000 would be ~29 MB
+CHUNK_VALUES = 360_000
 
 
 @dataclass
@@ -123,9 +129,19 @@ class ExperimentConfig:
         ):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        for name, low in (("batch_size", 1), ("epochs", 1), ("groups", 1), ("patience", 0)):
+        for name, low in (
+            ("batch_size", 1),
+            ("epochs", 1),
+            ("groups", 1),
+            ("patience", 0),
+            ("hidden", 1),
+            ("seq_width", 1),
+            ("seq_heads", 1),
+        ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.seq_width % self.seq_heads:
+            raise ValueError(f"seq_width {self.seq_width} must be divisible by seq_heads {self.seq_heads}")
         for name, low in (("lr", 0.0), ("fuzzifier", 1.0)):
             if not getattr(self, name) > low:
                 raise ValueError(f"{name} must be > {low}, got {getattr(self, name)}")
@@ -221,10 +237,17 @@ def _split_indices(n: int, val_fraction: float, rng: np.random.Generator):
     return order[n_val:], order[:n_val]
 
 
+def chunk_rows(steps: int, features: int, hidden: int) -> int:
+    """Rows per forward/backward pass for inputs of `steps` x `features` at
+    `hidden` units: as many as `CHUNK_VALUES` allows, and never fewer than 1."""
+    return max(1, CHUNK_VALUES // (steps * features * hidden))
+
+
 def _batched_logits(model: GroupedStepwiseModel, x, membership) -> np.ndarray:
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
+    size = chunk_rows(x.shape[1], x.shape[2], model.config.hidden)
+    for start in range(0, x.shape[0], size):
+        stop = start + size
         out[start:stop] = model.forward(x[start:stop], membership).data
     return out
 
@@ -338,6 +361,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         ema_rule=config.ema_rule,
     )
     dynamic = config.grouping == "dynamic" and config.recluster_unit != "never"
+    chunk_size = chunk_rows(x.shape[1], x.shape[2], config.hidden)
 
     history: list[EpochRecord] = []
     best_val = np.inf
@@ -381,8 +405,8 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                 reg_value = reg.item()
                 (config.reg_weight * reg).backward()
             loss_value = 0.0
-            for chunk in range(0, batch.size, CHUNK_ROWS):
-                rows = batch[chunk : chunk + CHUNK_ROWS]
+            for chunk in range(0, batch.size, chunk_size):
+                rows = batch[chunk : chunk + chunk_size]
                 # `logits` and `loss` keep the previous chunk's tape alive
                 # while this forward runs, on purpose. Freed before it, that
                 # tape leaves the top of the heap empty, malloc hands it back

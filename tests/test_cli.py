@@ -215,6 +215,11 @@ class TestTrain:
             (["lr=-1"], "lr"),
             (["patience=-1"], "patience"),
             (["algorithm=fuzzy", "fuzzifier=1.0"], "fuzzifier"),
+            (["hidden=0"], "hidden"),
+            (["seq_width=0"], "seq_width"),
+            (["seq_heads=0"], "seq_heads"),
+            (["seq_width=5"], "seq_heads"),
+            (["groups=7"], "groups 7 exceeds the dataset's 6 features"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
@@ -226,6 +231,14 @@ class TestTrain:
         assert run(argv) == 2
         assert field in capsys.readouterr().err
         assert not (Path(out) / "results.json").exists()
+
+    def test_fixed_grouping_may_ask_for_more_groups_than_features(self, tmp_path):
+        config = write_config(tmp_path)
+        out = self._generate(tmp_path, config)
+        argv = ["train", "--config", config, "--out", out, "--override", "groups=7"]
+        argv += ["--override", "grouping=fixed", "--override", "fixed_groups=[0,1,2,3,4,6]"]
+        assert run(argv) == 0
+        assert (Path(out) / "results.json").exists()
 
     def test_bad_seeds_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -287,6 +300,14 @@ class TestBenchmark:
         assert "psi" in capsys.readouterr().err
         assert not (out / "benchmark.csv").exists()
         assert not (out / "dataset.bin").exists()
+
+    def test_more_groups_than_features_exits_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
+        assert run(argv + ["--override", "groups=7"]) == 2
+        assert "groups 7 exceeds the dataset's 6 features" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+        assert not any(out.glob("*/seed_0"))
 
     def test_stale_dataset_exits_2_before_any_cell(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -24,6 +24,13 @@ def tiny_dataset(seed=0, samples=80, length=5):
     return generate_dataset(GpSpec(samples=samples, length=length, seed=seed))
 
 
+def set_chunk_rows(monkeypatch, rows, steps=5, features=6, hidden=3):
+    """Set the chunk budget so that inputs of `steps` x `features` at `hidden`
+    units (by default `tiny_dataset`'s under `tiny_config`) run as chunks of
+    `rows` rows."""
+    monkeypatch.setattr(trainer, "CHUNK_VALUES", rows * steps * features * hidden)
+
+
 def tiny_config(**overrides):
     defaults = dict(
         seed=0,
@@ -76,11 +83,18 @@ class TestConfig:
             ("lr", float("nan")),
             ("patience", -1),
             ("fuzzifier", 1.0),
+            ("hidden", 0),
+            ("seq_width", 0),
+            ("seq_heads", 0),
         ],
     )
     def test_out_of_range_value_names_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             tiny_config(**{name: value})
+
+    def test_seq_width_that_seq_heads_does_not_divide_names_both(self):
+        with pytest.raises(ValueError, match="^seq_width 5 must be divisible by seq_heads 2"):
+            tiny_config(seq_width=5, seq_heads=2)
 
     @pytest.mark.parametrize(
         "name",
@@ -329,7 +343,7 @@ class TestEvaluate:
 
     def test_chunked_validation_logits_equal_one_forward(self, monkeypatch):
         # a 40-sample validation split runs as chunks of 7, 7, 7, 7, 7, 5
-        monkeypatch.setattr(trainer, "CHUNK_ROWS", 7)
+        set_chunk_rows(monkeypatch, 7)
         dataset = tiny_dataset()
         config = tiny_config(epochs=1, val_fraction=0.5)
         result = train(config, dataset)
@@ -360,11 +374,11 @@ class TestEvaluate:
 
 
 class TestChunkedBatches:
-    """A batch runs as chunks of at most `trainer.CHUNK_ROWS` rows whose
-    weighted gradients add up to the full batch's gradient."""
+    """A batch runs as chunks of `trainer.chunk_rows` rows whose weighted
+    gradients add up to the full batch's gradient."""
 
     def recorded_run(self, monkeypatch, chunk_rows, **overrides):
-        monkeypatch.setattr(trainer, "CHUNK_ROWS", chunk_rows)
+        set_chunk_rows(monkeypatch, chunk_rows)
         grads = []
 
         def recording_adam(params, state, lr):
@@ -397,7 +411,7 @@ class TestChunkedBatches:
         # the step's gradients must round exactly as one backward of the first
         # chunk's loss plus the weighted regularizer, with the later chunks'
         # gradients added after it in order
-        monkeypatch.setattr(trainer, "CHUNK_ROWS", chunk_rows)
+        set_chunk_rows(monkeypatch, chunk_rows)
         backward = Tensor.backward
         roots, steps = [], []
 
@@ -437,7 +451,7 @@ class TestChunkedBatches:
 
     def test_emptied_group_gradients_stay_none_across_chunks(self, monkeypatch):
         # a batch of 18 runs as chunks of 7, 7 and 4, none reaching group 1
-        monkeypatch.setattr(trainer, "CHUNK_ROWS", 7)
+        set_chunk_rows(monkeypatch, 7, features=4)
         seen = emptied_group_steps(monkeypatch)
         for name, (g0, *_) in seen[0].items():
             assert g0 is not None, name
@@ -447,11 +461,37 @@ class TestChunkedBatches:
         # a default-config epoch at the paper's batch of 5000 (5040 training
         # samples, two steps, 560 validation samples); unchunked, the same
         # epoch peaked at 387 MB of numpy allocations, chunked at 65 MB
-        dataset = generate_dataset(GpSpec(samples=5600))
+        peak = self.one_epoch_peak(GpSpec(samples=5600))
+        assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_one_epoch_at_the_paper_feature_count_stays_small(self):
+        # 240 features of 8 steps: one default-config batch of 360 training
+        # samples and 40 validation samples. As one 360-row chunk the epoch
+        # peaked at 189 MB of numpy allocations, as 31-row chunks at 29 MB
+        spec = GpSpec(features=240, length=8, samples=400, length_scales=[1.0] * 240, amplitudes=[1.0] * 240)
+        peak = self.one_epoch_peak(spec)
+        assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
+
+    @staticmethod
+    def one_epoch_peak(spec):
+        """Peak numpy allocation, in bytes, of one default-config epoch."""
+        dataset = generate_dataset(spec)
         tracemalloc.start()
         try:
             train(ExperimentConfig(epochs=1), dataset)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
+class TestChunkRows:
+    @pytest.mark.parametrize(
+        "steps, features, hidden, rows",
+        [
+            (20, 6, 6, 500),  # the paper's shape: the budget is exactly 500 rows
+            (8, 240, 6, 31),  # the benchmark's wide_gmm shape
+            (20, 6000, 6, 1),  # one row alone exceeds the budget
+        ],
+    )
+    def test_rows_per_chunk(self, steps, features, hidden, rows):
+        assert trainer.chunk_rows(steps, features, hidden) == rows
