@@ -184,14 +184,6 @@ class Tensor:
 
         return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
 
-    def sigmoid(self):
-        out = _sigmoid(self.data)
-
-        def backward(g):
-            return (g * out * (1.0 - out),)
-
-        return Tensor._op(out, (self,), backward)
-
     def log(self):
         x = self
 

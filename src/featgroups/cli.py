@@ -177,8 +177,8 @@ def parse_seeds(arg: str | None, fallback: list[int]) -> list[int]:
         seeds = [int(s) for s in arg.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--seeds must be a comma-separated list of integers, got {arg!r}")
-    if not seeds or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"--seeds must list at least one seed, each once, got {arg!r}")
+    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
+        raise ConfigError(f"--seeds must list at least one non-negative seed, each once, got {arg!r}")
     return seeds
 
 

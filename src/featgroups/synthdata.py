@@ -47,6 +47,8 @@ class GpSpec:
             raise ValueError("length scales and amplitudes must be positive")
         if self.features < 4:
             raise ValueError("labeling needs at least 4 features")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

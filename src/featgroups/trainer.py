@@ -28,12 +28,15 @@ Early stopping watches the validation supervised loss; its patience starts
 counting once that loss beats the constant class-prior predictor by more than
 the predictor's standard error on the validation split, or after a tenth of
 the epoch budget. The returned checkpoint is the best-validation one, not the
-last.
+last, and the run's metrics are that epoch's validation report (`_validate`,
+once per epoch); `evaluate` rebuilds the same report from a checkpoint. A
+non-finite training or validation loss raises `TrainingDiverged`.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -110,6 +113,11 @@ class ExperimentConfig:
     feature_init: str = "shared"  # shared | independent embedding-weight init
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(field.type)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{field.name} must be of type {field.type}, got {value!r}")
         for name, allowed in (
             ("agg_mode", AGG_MODES),
             ("psi", PSI_KINDS),
@@ -130,6 +138,7 @@ class ExperimentConfig:
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
         for name, low in (
+            ("seed", 0),
             ("batch_size", 1),
             ("epochs", 1),
             ("groups", 1),
@@ -195,7 +204,8 @@ class EpochRecord:
 class TrainResult:
     """The best-validation checkpoint of a run: its model, and its clustering
     state, whose ``membership`` is the grouping that model was trained and
-    scored under, plus the run's per-epoch history and final metrics."""
+    scored under, plus the run's per-epoch history and, as its metrics, the
+    best epoch's validation report."""
 
     model: GroupedStepwiseModel
     cluster_state: ClusterState
@@ -252,29 +262,29 @@ def _batched_logits(model: GroupedStepwiseModel, x, membership) -> np.ndarray:
     return out
 
 
-def _mean_bce(logits: np.ndarray, labels: np.ndarray) -> float:
-    z = logits
-    return float(np.mean(np.maximum(z, 0.0) - z * labels + np.log1p(np.exp(-np.abs(z)))))
-
-
-def _partition_from_state(points, state: ClusterState, membership: np.ndarray, fixed: bool) -> np.ndarray:
-    if fixed:
-        # fixed groupings report the grouping actually used by the model
-        return membership.argmax(axis=1)
-    return score_points(points, state).argmax(axis=1)
-
-
-def _clustering_metrics(dataset, model, state, membership, config: ExperimentConfig):
+def _validate(model, state: ClusterState, membership, x_val, labels, dataset, config) -> dict:
+    """The validation report of `model` under `membership`: loss, AUROC and
+    AUPRC on the standardized series `x_val` and its 0/1 float `labels`, and
+    the partition of the feature weights with its ARI, NMI and silhouette."""
+    z = _batched_logits(model, x_val, membership)
+    scores = 1.0 / (1.0 + np.exp(-z))
     points = unify(model.feature_weight_arrays(), config.combine_mode)
+    if config.grouping == "fixed":
+        # fixed groupings report the grouping actually used by the model
+        partition = membership.argmax(axis=1)
+    else:
+        partition = score_points(points, state).argmax(axis=1)
     truth = dataset.truth_labels if dataset.truth_groups else None
-    partition = _partition_from_state(points, state, membership, config.grouping == "fixed")
-    ari_val = nmi_val = sil_val = None
-    if truth is not None:
-        ari_val = ari(truth, partition)
-        nmi_val = nmi(truth, partition)
-    if len(np.unique(partition)) >= 2:
-        sil_val = silhouette(points, partition)
-    return ari_val, nmi_val, sil_val, partition
+    both_classes = 0 < labels.sum() < labels.size
+    return {
+        "auprc": auprc(scores, labels) if both_classes else None,
+        "auroc": auroc(scores, labels) if both_classes else None,
+        "ari": None if truth is None else ari(truth, partition),
+        "nmi": None if truth is None else nmi(truth, partition),
+        "silhouette": silhouette(points, partition) if len(np.unique(partition)) >= 2 else None,
+        "partition": partition.tolist(),
+        "val_loss": float(np.mean(np.maximum(z, 0.0) - z * labels + np.log1p(np.exp(-np.abs(z))))),
+    }
 
 
 def _init_clustering(config: ExperimentConfig, points, rng_init) -> ClusterState:
@@ -320,6 +330,13 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     if config.standardize:
         norm_mean = x_train.mean(axis=(0, 1))
         norm_std = np.maximum(x_train.std(axis=(0, 1)), 1e-12)
+        # out of place on purpose. In a process that has already trained
+        # once, in-place `-=` and `/=` made 5 paper-shape epochs take about
+        # 265,000 minor page faults, against under 150, and 20-50% longer
+        # (2 CPUs): freeing the full-size temporary here seems to raise
+        # glibc's dynamic mmap and trim thresholds, so the chunk activations
+        # stay on a reused heap. In a fresh process the effect reverses, so
+        # no in-process test can guard this
         x_train = (x_train - norm_mean) / norm_std
         x_val = (x_val - norm_mean) / norm_std
 
@@ -438,9 +455,11 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         if dynamic and config.recluster_unit == "epoch" and (epoch + 1) % config.recluster_every == 0:
             _, state = recluster(model.feature_weight_arrays(), state, recluster_options, rng_recluster)
 
-        val_logits = _batched_logits(model, x_val, state.membership)
-        val_loss = _mean_bce(val_logits, y_val)
-        ari_val, nmi_val, sil_val, _ = _clustering_metrics(dataset, model, state, state.membership, config)
+        metrics = _validate(model, state, state.membership, x_val, y_val, dataset, config)
+        val_loss = metrics["val_loss"]
+        if not np.isfinite(val_loss):
+            info = {"epoch": epoch, "step": step, "val_loss": val_loss}
+            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", make_result({}, True, info))
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -449,26 +468,23 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                 val_loss=val_loss,
                 membership=state.membership.astype(int).tolist(),
                 centroids=state.centroids.tolist(),
-                ari=ari_val,
-                nmi=nmi_val,
-                silhouette=sil_val,
+                ari=metrics["ari"],
+                nmi=metrics["nmi"],
+                silhouette=metrics["silhouette"],
             )
         )
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
             best_snapshot = (model.state_dict(), state.copy())
+            best_metrics = metrics
             stall = 0
         elif best_val < plateau_val or epoch >= plateau_epochs:
             stall += 1
             if stall > config.patience:
                 break
 
-    result = make_result({})
-    result.metrics = evaluate(
-        result.model, result.cluster_state, result.membership, dataset, config, norm_mean, norm_std
-    )
-    return result
+    return make_result(best_metrics)
 
 
 def evaluate(
@@ -480,23 +496,11 @@ def evaluate(
     norm_mean: np.ndarray | None = None,
     norm_std: np.ndarray | None = None,
 ) -> dict:
-    """Classification metrics on the validation split plus clustering quality
-    of the final membership against the dataset's ground-truth groups."""
+    """A checkpoint's validation report, on the run's validation split rebuilt
+    from `dataset`: exactly the run's `metrics` for its best checkpoint."""
     rng_split = np.random.default_rng([config.seed, 3])
     _, val_idx = _split_indices(dataset.series.shape[0], config.val_fraction, rng_split)
     x_val = dataset.series[val_idx]
     if norm_mean is not None and norm_std is not None:
         x_val = (x_val - norm_mean) / norm_std
-    logits = _batched_logits(model, x_val, membership)
-    scores = 1.0 / (1.0 + np.exp(-logits))
-    labels = dataset.labels[val_idx]
-    ari_val, nmi_val, sil_val, partition = _clustering_metrics(dataset, model, state, membership, config)
-    return {
-        "auprc": auprc(scores, labels) if 0 < labels.sum() < labels.size else None,
-        "auroc": auroc(scores, labels) if 0 < labels.sum() < labels.size else None,
-        "ari": ari_val,
-        "nmi": nmi_val,
-        "silhouette": sil_val,
-        "partition": partition.tolist(),
-        "val_loss": _mean_bce(logits, labels.astype(np.float64)),
-    }
+    return _validate(model, state, membership, x_val, dataset.labels[val_idx].astype(np.float64), dataset, config)

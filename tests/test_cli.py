@@ -64,6 +64,13 @@ class TestGenerate:
         assert run(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "nsamples" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", config, "--out", str(out), "--override", "dataset.seed=-1"]) == 2
+        assert "dataset config invalid: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "dataset.bin").exists()
+
     def test_malformed_json_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "train": {,}\n}')
@@ -220,6 +227,8 @@ class TestTrain:
             (["seq_heads=0"], "seq_heads"),
             (["seq_width=5"], "seq_heads"),
             (["groups=7"], "groups 7 exceeds the dataset's 6 features"),
+            (["seed=-1"], "train config invalid: seed must be >= 0, got -1"),
+            (['batch_size="5"'], "batch_size must be of type int, got '5'"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
@@ -245,7 +254,7 @@ class TestTrain:
         out = self._generate(tmp_path, config)
         assert run(["train", "--config", config, "--out", out, "--seeds", "a,b"]) == 2
 
-    @pytest.mark.parametrize("seeds", [",", " ", "1,0,1"])
+    @pytest.mark.parametrize("seeds", [",", " ", "1,0,1", "0,-1"])
     def test_seeds_listing_no_seed_or_a_repeat_exit_2(self, tmp_path, capsys, seeds):
         config = write_config(tmp_path)
         out = self._generate(tmp_path, config)
@@ -308,6 +317,13 @@ class TestBenchmark:
         assert "groups 7 exceeds the dataset's 6 features" in capsys.readouterr().err
         assert not (out / "benchmark.csv").exists()
         assert not any(out.glob("*/seed_0"))
+
+    def test_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert run(["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "-1"]) == 2
+        assert "--seeds must list at least one non-negative seed, each once, got '-1'" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+        assert not (out / "dataset.bin").exists()
 
     def test_stale_dataset_exits_2_before_any_cell(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -86,6 +86,8 @@ class TestConfig:
             ("hidden", 0),
             ("seq_width", 0),
             ("seq_heads", 0),
+            ("seed", -1),
+            ("batch_size", "5"),
         ],
     )
     def test_out_of_range_value_names_field(self, name, value):
@@ -325,9 +327,21 @@ class TestEvaluate:
             result.metrics
         )
 
-    def test_evaluate_standalone_matches_training_metrics(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(algorithm="fuzzy", membership="soft"),
+            dict(algorithm="gmm", covariance_type="diagonal", recluster_unit="batch"),
+            dict(grouping="fixed", fixed_groups=[0, 0, 1, 1, 2, 2]),
+        ],
+        ids=["kmeans", "fuzzy_soft", "gmm_diagonal_batch", "fixed"],
+    )
+    def test_evaluate_standalone_matches_training_metrics(self, overrides):
+        # the run's metrics are its best epoch's validation report, and the
+        # checkpoint re-evaluates to exactly that report
         dataset = tiny_dataset()
-        config = tiny_config(epochs=2)
+        config = tiny_config(epochs=3, **overrides)
         result = train(config, dataset)
         again = evaluate(
             result.model,
@@ -338,8 +352,37 @@ class TestEvaluate:
             result.norm_mean,
             result.norm_std,
         )
-        assert again["auroc"] == pytest.approx(result.metrics["auroc"])
-        assert again["ari"] == pytest.approx(result.metrics["ari"])
+        assert again == result.metrics
+        assert result.best_val_loss == result.metrics["val_loss"] == result.history[result.best_epoch].val_loss
+
+    def test_training_runs_one_validation_pass_per_epoch(self, monkeypatch):
+        calls = []
+        original = trainer._batched_logits
+
+        def counting_logits(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "_batched_logits", counting_logits)
+        result = train(tiny_config(epochs=3), tiny_dataset())
+        assert len(calls) == len(result.history) == 3
+
+    def test_non_finite_validation_loss_diverges(self):
+        dataset = tiny_dataset()
+        config = tiny_config()
+        _, val_idx = _split_indices(
+            dataset.series.shape[0], config.val_fraction, np.random.default_rng([config.seed, 3])
+        )
+        # poison the validation split only: the training statistics and every
+        # training step stay finite
+        dataset.series[val_idx, 0, 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="non-finite validation loss at epoch 0") as excinfo:
+            train(config, dataset)
+        result = excinfo.value.result
+        assert result.diverged
+        assert result.divergence_info["epoch"] == 0
+        assert not np.isfinite(result.divergence_info["val_loss"])
+        assert result.history == [] and result.best_epoch == -1
 
     def test_chunked_validation_logits_equal_one_forward(self, monkeypatch):
         # a 40-sample validation split runs as chunks of 7, 7, 7, 7, 7, 5
