@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +64,7 @@ class ConfigError(Exception):
 def default_config() -> dict:
     return {
         "schema": CONFIG_SCHEMA,
-        "dataset": {
-            "samples": 10000,
-            "length": 20,
-            "features": 6,
-            "length_scales": [1.0, 2.0, 4.0, 8.0, 1.0, 2.0],
-            "amplitudes": [0.5, 1.0, 3.5, 0.5, 0.5, 0.5],
-            "seed": 0,
-        },
+        "dataset": asdict(GpSpec()),
         "train": ExperimentConfig().to_dict(),
         "output_dir": "runs",
     }
@@ -138,11 +131,9 @@ def apply_override(config: dict, item: str):
     node[parts[-1]] = value
 
 
-def experiment_config(config: dict, **replacements) -> ExperimentConfig:
-    body = dict(config["train"])
-    body.update(replacements)
+def experiment_config(config: dict) -> ExperimentConfig:
     try:
-        return ExperimentConfig.from_dict(body)
+        return ExperimentConfig.from_dict(config["train"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train config invalid: {exc}")
 
@@ -159,8 +150,10 @@ def output_dir(args, config: dict) -> Path:
         root = Path(args.out)
     elif OUTPUT_ROOT_ENV in os.environ:
         root = Path(os.environ[OUTPUT_ROOT_ENV])
+    elif isinstance(config["output_dir"], str):
+        root = Path(config["output_dir"])
     else:
-        root = Path(config.get("output_dir", "runs"))
+        raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -227,10 +220,7 @@ def require_groups_fit(groups: int, dataset: LabeledDataset):
 # ----------------------------------------------------------------------
 
 
-def run_single_training(
-    config: dict, dataset: LabeledDataset, seed: int, out: Path, **replacements
-) -> dict:
-    exp = experiment_config(config, seed=seed, **replacements)
+def run_single_training(exp: ExperimentConfig, dataset: LabeledDataset, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = train(exp, dataset)
@@ -238,7 +228,7 @@ def run_single_training(
         diagnostic = {
             "schema": RESULTS_SCHEMA,
             "status": "diverged",
-            "seed": seed,
+            "seed": exp.seed,
             "divergence": exc.result.divergence_info,
         }
         with atomic_write(out / "results.json") as fh:
@@ -291,13 +281,13 @@ def cmd_train(args) -> int:
     config = load_config(args.config, args.override)
     root = output_dir(args, config)
     dataset = require_dataset(root, config)
-    seeds = parse_seeds(args.seeds, [int(config["train"]["seed"])])
     exp = experiment_config(config)
+    seeds = parse_seeds(args.seeds, [exp.seed])
     if exp.grouping == "dynamic":  # a fixed grouping may leave groups empty
         require_groups_fit(exp.groups, dataset)
     for seed in seeds:
         out = root if len(seeds) == 1 else root / f"seed_{seed}"
-        metrics = run_single_training(config, dataset, seed, out)
+        metrics = run_single_training(replace(exp, seed=seed), dataset, out)
         shown = {k: round(v, 4) for k, v in metrics.items() if isinstance(v, float)}
         print(f"seed {seed}: {shown}")
     return 0
@@ -307,15 +297,14 @@ def _float_or_nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def benchmark_variant(
-    variant: str, config: dict, dataset: LabeledDataset, seed: int, out_root: Path
-) -> dict:
-    """One (variant, seed) cell: returns ari/nmi/silhouette plus run info."""
+def benchmark_variant(variant: str, exp: ExperimentConfig, dataset: LabeledDataset, out_root: Path) -> dict:
+    """One (variant, `exp.seed`) cell: returns ari/nmi/silhouette plus run info."""
+    seed = exp.seed
     truth = dataset.truth_labels
     start = time.monotonic()
     if variant.startswith("static_"):
         mode = variant[len("static_") :]
-        member = static_kmeans_baseline(dataset, mode, int(config["train"]["groups"]), seed)
+        member = static_kmeans_baseline(dataset, mode, exp.groups, seed)
         partition = member.argmax(axis=1)
         vectors = static_transform(dataset, mode)
         sil = silhouette(vectors, partition) if len(np.unique(partition)) >= 2 else None
@@ -327,15 +316,14 @@ def benchmark_variant(
             "out": None,
         }
     if variant == "oracle":
-        replacements = {"grouping": "fixed", "fixed_groups": truth.tolist()}
+        exp = replace(exp, grouping="fixed", fixed_groups=truth.tolist())
     elif variant == "random":
-        k = int(config["train"]["groups"])
-        assignment = np.random.default_rng([seed, 99]).integers(0, k, size=truth.size)
-        replacements = {"grouping": "fixed", "fixed_groups": assignment.tolist()}
+        assignment = np.random.default_rng([seed, 99]).integers(0, exp.groups, size=truth.size)
+        exp = replace(exp, grouping="fixed", fixed_groups=assignment.tolist())
     else:  # dynamic
-        replacements = {"grouping": "dynamic", "fixed_groups": None}
+        exp = replace(exp, grouping="dynamic", fixed_groups=None)
     out = out_root / variant / f"seed_{seed}"
-    metrics = run_single_training(config, dataset, seed, out, **replacements)
+    metrics = run_single_training(exp, dataset, out)
     return {
         "ari": metrics["ari"],
         "nmi": metrics["nmi"],
@@ -358,15 +346,21 @@ def cmd_benchmark(args) -> int:
     else:
         dataset = generate_dataset(spec)
         save_dataset(dataset, binary, sidecar)
-    # every benchmark runs the dynamic grouping and the static K-means baselines
+    # every benchmark runs the dynamic grouping and the static K-means
+    # baselines, which score K clusters against the ground-truth groups
     require_groups_fit(exp.groups, dataset)
+    if exp.groups > len(dataset.truth_groups):
+        raise ConfigError(
+            f"train config invalid: groups {exp.groups} exceeds the dataset's"
+            f" {len(dataset.truth_groups)} ground-truth groups, which the static baselines score against"
+        )
     cells = [(variant, seed) for variant in BENCHMARK_VARIANTS for seed in seeds]
     outcomes = []
     for variant, seed in cells:
         cell = root / variant / f"seed_{seed}"
         (cell / "error.txt").unlink(missing_ok=True)  # an earlier run's failure
         try:
-            outcomes.append(benchmark_variant(variant, config, dataset, seed, root))
+            outcomes.append(benchmark_variant(variant, replace(exp, seed=seed), dataset, root))
         except Exception as exc:  # a failed cell must not sink the table
             cell.mkdir(parents=True, exist_ok=True)
             with atomic_write(cell / "error.txt") as fh:

@@ -559,7 +559,7 @@ class ReclusterOptions:
     combine_mode: str = "bias_sum_linear"
     membership: str = "hard"  # hard | soft
     delta: float = 0.0  # soft threshold
-    alpha: float = 0.0  # EMA decay
+    ema_decay: float = 0.0  # weight the old state keeps when the membership flips
     ema_rule: str = "moment_matching"
 
 
@@ -728,9 +728,9 @@ def recluster(
     clusters are relabelled to match the previous centroids. If the
     membership then differs from the state's stored matrix, the parameter
     update is damped by the configured EMA rule and the membership is
-    recomputed once from the damped state, so that alpha near 1 keeps the
-    grouping pinned to the previous cluster geometry. Returns (membership,
-    new state); the new state stores the membership it produced.
+    recomputed once from the damped state, so that an `ema_decay` near 1
+    keeps the grouping pinned to the previous cluster geometry. Returns
+    (membership, new state); the new state stores the membership it produced.
     """
     points = unify(weights, options.combine_mode)
     starts = [state]
@@ -750,7 +750,7 @@ def recluster(
     member = membership_from_scores(score_points(points, updated), options.membership, options.delta)
     previous = state.membership
     if previous is not None and not np.array_equal(member, previous):
-        damped = _ema_state(state, updated, options.alpha, options.ema_rule)
+        damped = _ema_state(state, updated, options.ema_decay, options.ema_rule)
         member = membership_from_scores(score_points(points, damped), options.membership, options.delta)
         updated = damped
     updated.membership = member

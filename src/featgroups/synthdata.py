@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,13 @@ class GpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("features", "length", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be of type int, got {value!r}")
+        for name, low in (("length", 1), ("samples", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         self.length_scales = tuple(float(v) for v in self.length_scales)
         self.amplitudes = tuple(float(v) for v in self.amplitudes)
         if len(self.length_scales) != self.features or len(self.amplitudes) != self.features:
@@ -47,8 +55,6 @@ class GpSpec:
             raise ValueError("length scales and amplitudes must be positive")
         if self.features < 4:
             raise ValueError("labeling needs at least 4 features")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

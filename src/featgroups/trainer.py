@@ -28,9 +28,10 @@ Early stopping watches the validation supervised loss; its patience starts
 counting once that loss beats the constant class-prior predictor by more than
 the predictor's standard error on the validation split, or after a tenth of
 the epoch budget. The returned checkpoint is the best-validation one, not the
-last, and the run's metrics are that epoch's validation report (`_validate`,
-once per epoch); `evaluate` rebuilds the same report from a checkpoint. A
-non-finite training or validation loss raises `TrainingDiverged`.
+last, loaded back into the trained model with every gradient cleared, and the
+run's metrics are that epoch's validation report (`_validate`, once per
+epoch); `evaluate` rebuilds the same report from a checkpoint. A non-finite
+training or validation loss raises `TrainingDiverged`.
 """
 
 from __future__ import annotations
@@ -342,14 +343,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
 
     model_config = ModelConfig(
         feature_cards=[1] * x.shape[2],
-        hidden=config.hidden,
-        groups=config.groups,
-        agg_mode=config.agg_mode,
-        psi=config.psi,
-        seq_width=config.seq_width,
-        seq_heads=config.seq_heads,
-        positional_encoding=config.positional_encoding,
-        feature_init=config.feature_init,
+        **{f.name: getattr(config, f.name) for f in fields(ModelConfig) if f.name != "feature_cards"},
     )
     model = GroupedStepwiseModel(model_config, rng_model)
     # start the output at the class prior (Lin et al. 2017, sec. 4.1). The
@@ -370,13 +364,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
 
     points = unify(model.feature_weight_arrays(), config.combine_mode)
     state = _init_clustering(config, points, rng_init)
-    recluster_options = ReclusterOptions(
-        combine_mode=config.combine_mode,
-        membership=config.membership,
-        delta=config.delta,
-        alpha=config.ema_decay,
-        ema_rule=config.ema_rule,
-    )
+    recluster_options = ReclusterOptions(**{f.name: getattr(config, f.name) for f in fields(ReclusterOptions)})
     dynamic = config.grouping == "dynamic" and config.recluster_unit != "never"
     chunk_size = chunk_rows(x.shape[1], x.shape[2], config.hidden)
 
@@ -388,10 +376,11 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     step = 0
 
     def make_result(metrics, diverged=False, info=None) -> TrainResult:
-        best_model = GroupedStepwiseModel(model_config, np.random.default_rng([config.seed, 0]))
-        best_model.load_state_dict(best_snapshot[0])
+        model.load_state_dict(best_snapshot[0])
+        for p in params:
+            p.grad = None
         return TrainResult(
-            model=best_model,
+            model=model,
             cluster_state=best_snapshot[1],
             history=history,
             best_epoch=best_epoch,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from featgroups import cli
 from featgroups.cli import main
 from featgroups.model import GroupedStepwiseModel, ModelConfig
 from featgroups.serialization import read_checkpoint
@@ -70,6 +71,29 @@ class TestGenerate:
         assert run(["generate", "--config", config, "--out", str(out), "--override", "dataset.seed=-1"]) == 2
         assert "dataset config invalid: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (out / "dataset.bin").exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("dataset.samples=0", "samples must be >= 1, got 0"),
+            ('dataset.samples="5"', "samples must be of type int, got '5'"),
+            ("dataset.samples=true", "samples must be of type int, got True"),
+            ("dataset.length=0", "length must be >= 1, got 0"),
+            ("dataset.features=6.0", "features must be of type int, got 6.0"),
+        ],
+    )
+    def test_bad_size_exits_2_naming_it(self, tmp_path, capsys, override, message):
+        out = tmp_path / "o"
+        assert run(["generate", "--config", write_config(tmp_path), "--out", str(out), "--override", override]) == 2
+        assert f"dataset config invalid: {message}" in capsys.readouterr().err
+        assert not (out / "dataset.bin").exists()
+
+    def test_non_string_output_dir_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        assert run(["generate", "--config", write_config(tmp_path), "--override", "output_dir=null"]) == 2
+        assert "output_dir must be a string, got None" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_malformed_json_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -229,6 +253,7 @@ class TestTrain:
             (["groups=7"], "groups 7 exceeds the dataset's 6 features"),
             (["seed=-1"], "train config invalid: seed must be >= 0, got -1"),
             (['batch_size="5"'], "batch_size must be of type int, got '5'"),
+            (['seed="x"'], "train config invalid: seed must be of type int, got 'x'"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
@@ -261,6 +286,15 @@ class TestTrain:
         assert run(["train", "--config", config, "--out", out, "--seeds", seeds]) == 2
         assert "--seeds" in capsys.readouterr().err
         assert not any(Path(out).glob("seed_*"))
+
+
+def fail_static_baselines(monkeypatch):
+    """Make every static-baseline cell of a benchmark fail."""
+
+    def static_kmeans_baseline(*args):
+        raise ValueError("static baseline failed")
+
+    monkeypatch.setattr(cli, "static_kmeans_baseline", static_kmeans_baseline)
 
 
 class TestBenchmark:
@@ -318,6 +352,14 @@ class TestBenchmark:
         assert not (out / "benchmark.csv").exists()
         assert not any(out.glob("*/seed_0"))
 
+    def test_more_groups_than_truth_groups_exits_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
+        assert run(argv + ["--override", "groups=4"]) == 2
+        assert "groups 4 exceeds the dataset's 3 ground-truth groups" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+        assert not any(out.glob("*/seed_0"))
+
     def test_negative_seed_exits_2_before_any_cell(self, tmp_path, capsys):
         out = tmp_path / "bench"
         assert run(["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "-1"]) == 2
@@ -335,21 +377,21 @@ class TestBenchmark:
         assert "dataset.json is stale: it was generated with seed 0, the config asks for 1" in err
         assert not (out / "benchmark.csv").exists()
 
-    def test_partial_failure_marks_row_failed(self, tmp_path):
-        body = dict(TINY, train=dict(TINY["train"], groups=4))
-        config = write_config(tmp_path, body)
+    def test_partial_failure_marks_row_failed(self, tmp_path, monkeypatch):
+        fail_static_baselines(monkeypatch)
+        config = write_config(tmp_path)
         out = str(tmp_path / "bench")
-        # static baselines reject K=4 > 3 truth groups; trained rows proceed
+        # the static baselines fail; trained rows proceed
         assert run(["benchmark", "--config", config, "--out", out, "--seeds", "0"]) == 0
         lines = Path(out, "benchmark.csv").read_text().strip().splitlines()
         rows = {line.split(",")[0]: line.split(",") for line in lines[2:]}
         assert rows["static_flat"][-1] == "FAILED"
         assert rows["dynamic"][-1] == "OK"
 
-    def test_manifest_traces_the_dataset_and_each_failed_cell(self, tmp_path):
-        body = dict(TINY, train=dict(TINY["train"], groups=4))
+    def test_manifest_traces_the_dataset_and_each_failed_cell(self, tmp_path, monkeypatch):
+        fail_static_baselines(monkeypatch)
         out = tmp_path / "bench"
-        assert run(["benchmark", "--config", write_config(tmp_path, body), "--out", str(out), "--seeds", "0"]) == 0
+        assert run(["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset"] == {
             "features": 6,
@@ -370,6 +412,7 @@ class TestBenchmark:
             assert text.rstrip().endswith(run_info["error"])
         assert not (out / "dynamic" / "seed_0" / "error.txt").exists()
         # a later run in which the cells pass leaves no stale traceback
+        monkeypatch.undo()
         assert run(["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]) == 0
         assert not list(out.glob("*/seed_0/error.txt"))
 
@@ -421,3 +464,13 @@ class TestHistory:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run(["history", str(tmp_path / "nope.jsonl")]) == 2
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    config = cli.load_config(str(path), [])
+    assert cli.gp_spec(config) == GpSpec()
+    assert cli.experiment_config(config) == ExperimentConfig()

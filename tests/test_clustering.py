@@ -459,7 +459,7 @@ class TestCovarianceLayout:
         assert_constrained(cov, cov_type, 2, 3)
         # a stored membership no run can reproduce, so the EMA damping fires
         state.membership = np.zeros((9, 2))
-        options = ReclusterOptions(combine_mode="bias", alpha=0.5)
+        options = ReclusterOptions(combine_mode="bias", ema_decay=0.5)
         _, damped = recluster(weights, state, options, np.random.default_rng(2))
         assert_constrained(damped.covariances, cov_type, 2, 3)
 
@@ -763,7 +763,7 @@ class TestRecluster:
         member0 = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
         state = ClusterState(kind="kmeans", centroids=np.array([[0.0, 0.0], [4.0, 4.0]]))
         state.membership = member0
-        options = ReclusterOptions(combine_mode="bias", alpha=0.5)
+        options = ReclusterOptions(combine_mode="bias", ema_decay=0.5)
         member, new_state = recluster(weights, state, options)
         np.testing.assert_array_equal(member, member0)
         np.testing.assert_array_equal(new_state.centroids, state.centroids)
@@ -778,12 +778,12 @@ class TestRecluster:
 
         undamped = base.copy()
         undamped.membership = prev.copy()
-        member_plain, _ = recluster(weights, undamped, ReclusterOptions(combine_mode="bias", alpha=0.0))
+        member_plain, _ = recluster(weights, undamped, ReclusterOptions(combine_mode="bias", ema_decay=0.0))
         assert not np.array_equal(member_plain, prev)
 
         damped = base.copy()
         damped.membership = prev.copy()
-        member, new_state = recluster(weights, damped, ReclusterOptions(combine_mode="bias", alpha=0.9999))
+        member, new_state = recluster(weights, damped, ReclusterOptions(combine_mode="bias", ema_decay=0.9999))
         np.testing.assert_array_equal(member, prev)
         np.testing.assert_allclose(new_state.centroids, base.centroids, atol=1e-2)
 
@@ -794,7 +794,7 @@ class TestRecluster:
         for _ in range(3):
             points = rng.normal(size=(5, 1))
             weights = self._weights_from_points(points)
-            member, state = recluster(weights, state, ReclusterOptions(combine_mode="bias", alpha=0.7))
+            member, state = recluster(weights, state, ReclusterOptions(combine_mode="bias", ema_decay=0.7))
             np.testing.assert_array_equal(member, np.ones((5, 1)))
             np.testing.assert_allclose(state.centroids[0], points.mean(axis=0))
 
@@ -806,7 +806,7 @@ class TestRecluster:
         state = init_kmeanspp(unified, 2, np.random.default_rng(5), kind="gmm", covariance_type="diagonal")
         state.membership = hard_membership(score_points(unified, state))
         member, new_state = recluster(
-            weights, state, ReclusterOptions(combine_mode="bias", alpha=0.5, membership="hard")
+            weights, state, ReclusterOptions(combine_mode="bias", ema_decay=0.5, membership="hard")
         )
         assert member.shape == (8, 2)
         assert new_state.covariances.shape == (2, 2, 2)

@@ -3,12 +3,14 @@ isolation, fixed-group equivalence, divergence handling, determinism."""
 
 import tracemalloc
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from featgroups import trainer
 from featgroups.autodiff import Tensor, adam_step, stack
-from featgroups.clustering import reg_loss, unify
+from featgroups.clustering import ReclusterOptions, reg_loss, unify
 from featgroups.model import GroupedStepwiseModel, ModelConfig, supervised_loss
 from featgroups.synthdata import GpSpec, assign_labels, generate_dataset
 from featgroups.trainer import (
@@ -106,6 +108,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             tiny_config(**{name: "bogus"})
 
+    def test_model_and_recluster_settings_are_experiment_fields(self):
+        # `train` fills ModelConfig and ReclusterOptions by field name
+        experiment = {f.name: f.default for f in fields(ExperimentConfig)}
+        model = {f.name: f.default for f in fields(ModelConfig) if f.name != "feature_cards"}
+        assert model == {name: experiment[name] for name in model}
+        assert {f.name for f in fields(ReclusterOptions)} <= set(experiment)
+
 
 class TestTrainLoop:
     def test_single_group_no_reg_trains(self):
@@ -131,10 +140,20 @@ class TestTrainLoop:
         )
 
     def test_best_checkpoint_is_minimum_val_not_final(self):
-        result = train(tiny_config(epochs=12, lr=0.3), tiny_dataset())
+        dataset = tiny_dataset()
+        config = tiny_config(epochs=12, lr=0.3)
+        result = train(config, dataset)
         vals = [r.val_loss for r in result.history]
         assert result.best_epoch == int(np.argmin(vals))
         assert result.best_val_loss == pytest.approx(min(vals))
+        # the returned model is the best checkpoint, not the last, with no
+        # gradient left on it
+        assert result.best_epoch < len(result.history) - 1
+        assert all(p.grad is None for p in result.model.parameters())
+        again = evaluate(
+            result.model, result.cluster_state, result.membership, dataset, config, result.norm_mean, result.norm_std
+        )
+        assert again == result.metrics
 
     def test_early_stopping_halts_after_patience(self):
         result = train(tiny_config(epochs=60, patience=3, lr=0.5), tiny_dataset())
