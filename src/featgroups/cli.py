@@ -215,6 +215,17 @@ def require_groups_fit(groups: int, dataset: LabeledDataset):
         raise ConfigError(f"train config invalid: groups {groups} exceeds the dataset's {features} features")
 
 
+def require_group_per_feature(name: str, ids, dataset: LabeledDataset):
+    """A given grouping, `fixed_groups` or `prior_groups`, lists one group id
+    per feature of the dataset."""
+    features = dataset.series.shape[2]
+    if not isinstance(ids, list) or len(ids) != features:
+        raise ConfigError(
+            f"train config invalid: {name} must list one group id for each of the dataset's {features} features,"
+            f" got {ids!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # per-run artifacts
 # ----------------------------------------------------------------------
@@ -229,7 +240,7 @@ def run_single_training(exp: ExperimentConfig, dataset: LabeledDataset, out: Pat
             "schema": RESULTS_SCHEMA,
             "status": "diverged",
             "seed": exp.seed,
-            "divergence": exc.result.divergence_info,
+            "divergence": exc.info,
         }
         with atomic_write(out / "results.json") as fh:
             fh.write(json.dumps(diagnostic, sort_keys=True, indent=2) + "\n")
@@ -283,8 +294,12 @@ def cmd_train(args) -> int:
     dataset = require_dataset(root, config)
     exp = experiment_config(config)
     seeds = parse_seeds(args.seeds, [exp.seed])
-    if exp.grouping == "dynamic":  # a fixed grouping may leave groups empty
+    if exp.grouping == "fixed":  # may leave groups empty, so only its length is checked
+        require_group_per_feature("fixed_groups", exp.fixed_groups, dataset)
+    else:
         require_groups_fit(exp.groups, dataset)
+        if exp.init == "prior":
+            require_group_per_feature("prior_groups", exp.prior_groups, dataset)
     for seed in seeds:
         out = root if len(seeds) == 1 else root / f"seed_{seed}"
         metrics = run_single_training(replace(exp, seed=seed), dataset, out)
@@ -349,6 +364,8 @@ def cmd_benchmark(args) -> int:
     # every benchmark runs the dynamic grouping and the static K-means
     # baselines, which score K clusters against the ground-truth groups
     require_groups_fit(exp.groups, dataset)
+    if exp.init == "prior":
+        require_group_per_feature("prior_groups", exp.prior_groups, dataset)
     if exp.groups > len(dataset.truth_groups):
         raise ConfigError(
             f"train config invalid: groups {exp.groups} exceeds the dataset's"
@@ -514,7 +531,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:
-        print(json.dumps({"error": str(exc), "info": exc.result.divergence_info}), file=sys.stderr)
+        print(json.dumps({"error": str(exc), "info": exc.info}), file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure contract: exit 1 with diagnostic
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -134,8 +134,8 @@ def kmeans_assign_and_update(points: np.ndarray, state: ClusterState):
     points that are alone in theirs). Returns one-hot scores and new means,
     each with a leading R axis for a state of R runs.
     """
-    # the masked sum below is ten times slower on strided rows, such as a
-    # static baseline's transposed vectors
+    # the masked sum below is ten times slower on strided rows, such as the
+    # bias rows `unify` returns as a view in bias-only mode
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, k = points.shape[0], state.n_clusters
     if k > n:
@@ -558,7 +558,7 @@ def reg_loss(
 class ReclusterOptions:
     combine_mode: str = "bias_sum_linear"
     membership: str = "hard"  # hard | soft
-    delta: float = 0.0  # soft threshold
+    delta: float = 0.8  # soft threshold
     ema_decay: float = 0.0  # weight the old state keeps when the membership flips
     ema_rule: str = "moment_matching"
 

@@ -70,19 +70,31 @@ class LabeledDataset:
         """Ground-truth group id per feature; the truth groups must partition
         the features."""
         n = self.series.shape[2]
-        members = sorted(f for group in self.truth_groups for f in group)
-        if members != list(range(n)):
-            missing = sorted(set(range(n)) - set(members))
-            repeated = sorted({f for f in members if members.count(f) > 1})
-            outside = sorted(set(members) - set(range(n)))
-            raise ValueError(
-                f"truth_groups must partition the {n} features: missing {missing},"
-                f" repeated {repeated}, out of range {outside}"
-            )
+        problem = _partition_problem(self.truth_groups, n)
+        if problem:
+            raise ValueError(problem)
         out = np.empty(n, dtype=np.int64)
         for gid, group in enumerate(self.truth_groups):
             out[group] = gid
         return out
+
+
+def _partition_problem(truth_groups, n: int) -> str | None:
+    """What keeps `truth_groups` from partitioning feature ids 0..n-1, if
+    anything."""
+    members = [f for group in truth_groups for f in group]
+    if not all(isinstance(f, numbers.Integral) and not isinstance(f, bool) for f in members):
+        return f"truth_groups must list features by int id, got {truth_groups!r}"
+    members.sort()
+    if members == list(range(n)):
+        return None
+    missing = sorted(set(range(n)) - set(members))
+    repeated = sorted({f for f in members if members.count(f) > 1})
+    outside = sorted(set(members) - set(range(n)))
+    return (
+        f"truth_groups must partition the {n} features: missing {missing},"
+        f" repeated {repeated}, out of range {outside}"
+    )
 
 
 def rbf_kernel(length: int, scale: float, amplitude: float) -> np.ndarray:
@@ -248,6 +260,15 @@ def _check_dataset(tensors: dict, sidecar: dict, binary_path, sidecar_path):
             raise ValueError(
                 f"{sidecar_path}: {key} is {sidecar.get(key)!r}, but {binary_path} holds series of shape {series.shape}"
             )
+    thresholds = sidecar.get("thresholds")
+    if not isinstance(thresholds, dict) or not {"kappa_12", "kappa_34"} <= set(thresholds):
+        raise ValueError(f"{sidecar_path}: thresholds must map kappa_12 and kappa_34, got {thresholds!r}")
+    groups = sidecar.get("truth_groups")
+    if not isinstance(groups, list) or not all(isinstance(group, list) for group in groups):
+        raise ValueError(f"{sidecar_path}: truth_groups must be a list of feature lists, got {groups!r}")
+    problem = _partition_problem(groups, series.shape[2]) if groups else None
+    if problem:
+        raise ValueError(f"{sidecar_path}: {problem}")
 
 
 def load_dataset(binary_path, sidecar_path) -> LabeledDataset:

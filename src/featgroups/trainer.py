@@ -8,11 +8,10 @@ a chunk's per-feature activation (rows x steps x features x hidden) within
 `CHUNK_VALUES` values: 500 rows at the paper's 20 steps x 6 features x 6
 hidden, 31 rows at 8 steps x 240 features x 6, so the memory a pass needs does
 not grow with the feature count. A chunk's supervised loss is weighted by its
-share of the batch, and every backward adds to the parameters' gradients, so
-the step is the full-batch step up to rounding; a batch that fits in one chunk
-is a single unweighted chunk. Then one Adam step, which reads the summed
-gradients from the parameters themselves. The validation pass runs in the same
-chunks.
+share of the batch (exactly 1 for a batch that fits in one chunk), and every
+backward adds to the parameters' gradients, so the step is the full-batch step
+up to rounding. Then one Adam step, which reads the summed gradients from the
+parameters themselves. The validation pass runs in the same chunks.
 After the optimizer step the feature weights are re-unified and reclustered
 on the configured cadence: each reclustering runs the clustering to
 convergence from the previous centroids and from k-means++ restarts seeded by
@@ -27,11 +26,12 @@ The output bias starts at the log-odds of the training split's positive rate.
 Early stopping watches the validation supervised loss; its patience starts
 counting once that loss beats the constant class-prior predictor by more than
 the predictor's standard error on the validation split, or after a tenth of
-the epoch budget. The returned checkpoint is the best-validation one, not the
-last, loaded back into the trained model with every gradient cleared, and the
-run's metrics are that epoch's validation report (`_validate`, once per
-epoch); `evaluate` rebuilds the same report from a checkpoint. A non-finite
-training or validation loss raises `TrainingDiverged`.
+the epoch budget. A run that finishes ends in one place: the best-validation
+snapshot, not the last epoch's, is loaded into the trained model with every
+gradient cleared, and the run's metrics are that epoch's validation report
+(`_validate`, once per epoch); `evaluate` rebuilds the same report from a
+checkpoint. A non-finite training or validation loss instead raises
+`TrainingDiverged`, carrying where it happened and the loss, and no model.
 """
 
 from __future__ import annotations
@@ -161,14 +161,23 @@ class ExperimentConfig:
             raise ValueError(f"unknown recluster_unit {self.recluster_unit!r}")
         if self.grouping not in ("dynamic", "fixed"):
             raise ValueError(f"unknown grouping {self.grouping!r}")
-        if self.grouping == "fixed" and self.fixed_groups is None:
-            raise ValueError("fixed grouping needs fixed_groups")
         if self.algorithm not in ("kmeans", "fuzzy", "gmm"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.init not in ("kmeanspp", "prior"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.init == "prior" and self.grouping == "dynamic" and self.prior_groups is None:
-            raise ValueError("prior init needs prior_groups")
+        # the one given grouping the run reads, if any: its fixed groups, or
+        # the prior its dynamic grouping starts from
+        if self.grouping == "fixed" or self.init == "prior":
+            name = "fixed_groups" if self.grouping == "fixed" else "prior_groups"
+            ids = getattr(self, name)
+            if ids is None:
+                raise ValueError(f"grouping {self.grouping!r} with init {self.init!r} needs {name}")
+            if not isinstance(ids, list) or not all(
+                isinstance(g, numbers.Integral) and not isinstance(g, bool) and 0 <= g < self.groups for g in ids
+            ):
+                raise ValueError(f"{name} must be a list of ints in [0, {self.groups}), got {ids!r}")
+            if name == "prior_groups" and set(ids) != set(range(self.groups)):
+                raise ValueError(f"prior_groups must use every group id in [0, {self.groups}), got {ids!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
 
@@ -212,12 +221,9 @@ class TrainResult:
     cluster_state: ClusterState
     history: list  # EpochRecord
     best_epoch: int
-    best_val_loss: float
     metrics: dict
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
-    diverged: bool = False
-    divergence_info: dict | None = None
+    norm_mean: np.ndarray
+    norm_std: np.ndarray
 
     @property
     def membership(self) -> np.ndarray:
@@ -226,17 +232,16 @@ class TrainResult:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the last-good checkpoint."""
+    """A loss became non-finite; `info` holds the epoch, the step and the
+    offending loss values."""
 
-    def __init__(self, message: str, result: TrainResult):
+    def __init__(self, message: str, info: dict):
         super().__init__(message)
-        self.result = result
+        self.info = info
 
 
 def _groups_to_matrix(assignment, k: int) -> np.ndarray:
     assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.min() < 0 or assignment.max() >= k:
-        raise ValueError(f"group ids must be in [0, {k})")
     member = np.zeros((assignment.size, k))
     member[np.arange(assignment.size), assignment] = 1.0
     return member
@@ -267,8 +272,9 @@ def _validate(model, state: ClusterState, membership, x_val, labels, dataset, co
     """The validation report of `model` under `membership`: loss, AUROC and
     AUPRC on the standardized series `x_val` and its 0/1 float `labels`, and
     the partition of the feature weights with its ARI, NMI and silhouette."""
+    # AUROC and AUPRC depend only on the order of the scores, so they rank the
+    # logits themselves: a sigmoid would overflow at large |z|
     z = _batched_logits(model, x_val, membership)
-    scores = 1.0 / (1.0 + np.exp(-z))
     points = unify(model.feature_weight_arrays(), config.combine_mode)
     if config.grouping == "fixed":
         # fixed groupings report the grouping actually used by the model
@@ -278,8 +284,8 @@ def _validate(model, state: ClusterState, membership, x_val, labels, dataset, co
     truth = dataset.truth_labels if dataset.truth_groups else None
     both_classes = 0 < labels.sum() < labels.size
     return {
-        "auprc": auprc(scores, labels) if both_classes else None,
-        "auroc": auroc(scores, labels) if both_classes else None,
+        "auprc": auprc(z, labels) if both_classes else None,
+        "auroc": auroc(z, labels) if both_classes else None,
         "ari": None if truth is None else ari(truth, partition),
         "nmi": None if truth is None else nmi(truth, partition),
         "silhouette": silhouette(points, partition) if len(np.unique(partition)) >= 2 else None,
@@ -331,14 +337,17 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
     if config.standardize:
         norm_mean = x_train.mean(axis=(0, 1))
         norm_std = np.maximum(x_train.std(axis=(0, 1)), 1e-12)
-        # out of place on purpose. In a process that has already trained
-        # once, in-place `-=` and `/=` made 5 paper-shape epochs take about
-        # 265,000 minor page faults, against under 150, and 20-50% longer
-        # (2 CPUs): freeing the full-size temporary here seems to raise
-        # glibc's dynamic mmap and trim thresholds, so the chunk activations
-        # stay on a reused heap. In a fresh process the effect reverses, so
-        # no in-process test can guard this
-        x_train = (x_train - norm_mean) / norm_std
+        # the subtraction is out of place on purpose: it frees the raw
+        # full-size copy. In a process that has already trained once,
+        # in-place `-=` and `/=` made 5 paper-shape epochs take about 265,000
+        # minor page faults, against under 150, and 20-50% longer (2 CPUs):
+        # freeing a full-size array here seems to raise glibc's dynamic mmap
+        # and trim thresholds, so the chunk activations stay on a reused
+        # heap. In a fresh process the effect reverses, so no in-process test
+        # can guard this. The division is in place, so two full-size copies
+        # are alive at once, not three
+        x_train = x_train - norm_mean
+        x_train /= norm_std
         x_val = (x_val - norm_mean) / norm_std
 
     model_config = ModelConfig(
@@ -370,27 +379,8 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
 
     history: list[EpochRecord] = []
     best_val = np.inf
-    best_epoch = -1
-    best_snapshot = (model.state_dict(), state.copy())
     stall = 0
     step = 0
-
-    def make_result(metrics, diverged=False, info=None) -> TrainResult:
-        model.load_state_dict(best_snapshot[0])
-        for p in params:
-            p.grad = None
-        return TrainResult(
-            model=model,
-            cluster_state=best_snapshot[1],
-            history=history,
-            best_epoch=best_epoch,
-            best_val_loss=float(best_val),
-            metrics=metrics,
-            norm_mean=norm_mean,
-            norm_std=norm_std,
-            diverged=diverged,
-            divergence_info=info,
-        )
 
     for epoch in range(config.epochs):
         order = rng_batch.permutation(x_train.shape[0])
@@ -420,20 +410,11 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
                 # in afresh: a paper-shape epoch then took 0.9-1.1 s instead
                 # of 0.6-0.8 s on 2 CPUs
                 logits = model.forward(x_train[rows], state.membership)
-                loss = supervised_loss(logits, y_train[rows])
-                if rows.size < batch.size:
-                    loss = loss * (rows.size / batch.size)
+                loss = supervised_loss(logits, y_train[rows]) * (rows.size / batch.size)
                 loss_value += loss.item()
                 if not np.isfinite(loss_value) or not np.isfinite(reg_value):
-                    info = {
-                        "epoch": epoch,
-                        "step": step,
-                        "train_loss": loss_value,
-                        "reg_loss": reg_value,
-                    }
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} step {step}", make_result({}, True, info)
-                    )
+                    info = {"epoch": epoch, "step": step, "train_loss": loss_value, "reg_loss": reg_value}
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}", info)
                 loss.backward()
             epoch_losses.append(loss_value)
             epoch_regs.append(reg_value)
@@ -448,7 +429,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         val_loss = metrics["val_loss"]
         if not np.isfinite(val_loss):
             info = {"epoch": epoch, "step": step, "val_loss": val_loss}
-            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", make_result({}, True, info))
+            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", info)
         history.append(
             EpochRecord(
                 epoch=epoch,
@@ -473,7 +454,18 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
             if stall > config.patience:
                 break
 
-    return make_result(best_metrics)
+    model.load_state_dict(best_snapshot[0])
+    for p in params:
+        p.grad = None
+    return TrainResult(
+        model=model,
+        cluster_state=best_snapshot[1],
+        history=history,
+        best_epoch=best_epoch,
+        metrics=best_metrics,
+        norm_mean=norm_mean,
+        norm_std=norm_std,
+    )
 
 
 def evaluate(
@@ -482,14 +474,14 @@ def evaluate(
     membership: np.ndarray,
     dataset: LabeledDataset,
     config: ExperimentConfig,
-    norm_mean: np.ndarray | None = None,
-    norm_std: np.ndarray | None = None,
+    norm_mean: np.ndarray,
+    norm_std: np.ndarray,
 ) -> dict:
     """A checkpoint's validation report, on the run's validation split rebuilt
-    from `dataset`: exactly the run's `metrics` for its best checkpoint."""
+    from `dataset` and standardized with the run's `norm_mean` and `norm_std`
+    (a `TrainResult`'s, or a checkpoint's `input_norm/*`): exactly the run's
+    `metrics` for its best checkpoint."""
     rng_split = np.random.default_rng([config.seed, 3])
     _, val_idx = _split_indices(dataset.series.shape[0], config.val_fraction, rng_split)
-    x_val = dataset.series[val_idx]
-    if norm_mean is not None and norm_std is not None:
-        x_val = (x_val - norm_mean) / norm_std
+    x_val = (dataset.series[val_idx] - norm_mean) / norm_std
     return _validate(model, state, membership, x_val, dataset.labels[val_idx].astype(np.float64), dataset, config)

@@ -254,6 +254,34 @@ class TestTrain:
             (["seed=-1"], "train config invalid: seed must be >= 0, got -1"),
             (['batch_size="5"'], "batch_size must be of type int, got '5'"),
             (['seed="x"'], "train config invalid: seed must be of type int, got 'x'"),
+            (
+                ["grouping=fixed", "fixed_groups=[0,1,2]"],
+                "fixed_groups must list one group id for each of the dataset's 6 features, got [0, 1, 2]",
+            ),
+            (
+                ["grouping=fixed", 'fixed_groups=[0,1,2,0,1,"a"]'],
+                "fixed_groups must be a list of ints in [0, 3), got [0, 1, 2, 0, 1, 'a']",
+            ),
+            (
+                ["grouping=fixed", "fixed_groups=[0,1,2,0,1,5]"],
+                "fixed_groups must be a list of ints in [0, 3), got [0, 1, 2, 0, 1, 5]",
+            ),
+            (
+                ["init=prior", "prior_groups=[0,1]"],
+                "prior_groups must use every group id in [0, 3), got [0, 1]",
+            ),
+            (
+                ["init=prior", "prior_groups=[0,0,1,1,0,1]"],
+                "prior_groups must use every group id in [0, 3), got [0, 0, 1, 1, 0, 1]",
+            ),
+            (
+                ["init=prior", "prior_groups=[0,0,1,1,2,true]"],
+                "prior_groups must be a list of ints in [0, 3), got [0, 0, 1, 1, 2, True]",
+            ),
+            (
+                ["init=prior", "prior_groups=[0,1,2,0,1,2,0]"],
+                "prior_groups must list one group id for each of the dataset's 6 features",
+            ),
         ],
     )
     def test_out_of_range_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
@@ -273,6 +301,24 @@ class TestTrain:
         argv += ["--override", "grouping=fixed", "--override", "fixed_groups=[0,1,2,3,4,6]"]
         assert run(argv) == 0
         assert (Path(out) / "results.json").exists()
+
+    def test_diverged_run_exits_1_with_its_diagnostic(self, tmp_path, capsys, monkeypatch):
+        info = {"epoch": 2, "step": 5, "train_loss": float("inf"), "reg_loss": 0.0}
+
+        def diverging_train(exp, dataset):
+            raise cli.TrainingDiverged("non-finite loss at epoch 2 step 5", info)
+
+        config = write_config(tmp_path)
+        out = self._generate(tmp_path, config)
+        monkeypatch.setattr(cli, "train", diverging_train)
+        assert run(["train", "--config", config, "--out", out]) == 1
+        results = json.loads((Path(out) / "results.json").read_text())
+        assert results["status"] == "diverged"
+        assert results["seed"] == 0
+        assert results["divergence"] == info
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "non-finite loss at epoch 2 step 5", "info": info}
+        assert not (Path(out) / "checkpoint.bin").exists()
 
     def test_bad_seeds_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -357,6 +403,14 @@ class TestBenchmark:
         argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
         assert run(argv + ["--override", "groups=4"]) == 2
         assert "groups 4 exceeds the dataset's 3 ground-truth groups" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+        assert not any(out.glob("*/seed_0"))
+
+    def test_prior_groups_of_another_length_exit_2_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
+        assert run(argv + ["--override", "init=prior", "--override", "prior_groups=[0,1,2]"]) == 2
+        assert "prior_groups must list one group id for each of the dataset's 6 features" in capsys.readouterr().err
         assert not (out / "benchmark.csv").exists()
         assert not any(out.glob("*/seed_0"))
 

@@ -263,3 +263,29 @@ class TestLoadValidation:
         binary, side = self._saved(tmp_path, **{key: value})
         with pytest.raises(ValueError, match=rf"d\.json: {key} is {value}, but .*d\.bin holds series of shape"):
             load_dataset(binary, side)
+
+    @pytest.mark.parametrize("key", ["thresholds", "truth_groups"])
+    def test_sidecar_without_thresholds_or_truth_groups_is_named(self, tmp_path, key):
+        binary, side = self._saved(tmp_path)
+        body = json.loads(side.read_text())
+        del body[key]
+        side.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match=rf"d\.json: {key} must .*, got None"):
+            load_dataset(binary, side)
+
+    @pytest.mark.parametrize(
+        "groups, problem",
+        [
+            ([[0, 1], [2, 3], [4, 5, 6]], r"missing \[\], repeated \[\], out of range \[6\]"),
+            ([[0, 1], [1, 2, 3], [5]], r"missing \[4\], repeated \[1\], out of range \[\]"),
+            ([[0, 1], [2, 3], [4, "5"]], r"truth_groups must list features by int id"),
+        ],
+    )
+    def test_sidecar_truth_groups_must_partition_the_features(self, tmp_path, groups, problem):
+        binary, side = self._saved(tmp_path, truth_groups=groups)
+        with pytest.raises(ValueError, match=rf"d\.json: .*{problem}"):
+            load_dataset(binary, side)
+
+    def test_sidecar_without_truth_groups_is_taken(self, tmp_path):
+        binary, side = self._saved(tmp_path, truth_groups=[])
+        assert load_dataset(binary, side).truth_groups == []

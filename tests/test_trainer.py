@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from featgroups import trainer
+from featgroups import metrics, trainer
 from featgroups.autodiff import Tensor, adam_step, stack
 from featgroups.clustering import ReclusterOptions, reg_loss, unify
 from featgroups.model import GroupedStepwiseModel, ModelConfig, supervised_loss
@@ -96,6 +96,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             tiny_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(grouping="fixed", fixed_groups=(0, 1, 2)), r"^fixed_groups must be a list of ints in \[0, 3\)"),
+            (dict(grouping="fixed", fixed_groups=[0, -1]), r"^fixed_groups must be a list of ints in \[0, 3\)"),
+            (dict(init="prior"), r"^grouping 'dynamic' with init 'prior' needs prior_groups"),
+            (dict(init="prior", prior_groups=[0, 1.0, 2]), r"^prior_groups must be a list of ints in \[0, 3\)"),
+        ],
+    )
+    def test_given_grouping_names_its_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kwargs)
+
+    def test_only_the_grouping_the_run_reads_is_checked(self):
+        # a fixed grouping never reads prior_groups; a dynamic one never
+        # reads fixed_groups
+        tiny_config(grouping="fixed", fixed_groups=[0, 0, 1], init="prior", prior_groups=["unused"])
+        tiny_config(fixed_groups=["unused"])
+
     def test_seq_width_that_seq_heads_does_not_divide_names_both(self):
         with pytest.raises(ValueError, match="^seq_width 5 must be divisible by seq_heads 2"):
             tiny_config(seq_width=5, seq_heads=2)
@@ -113,7 +132,8 @@ class TestConfig:
         experiment = {f.name: f.default for f in fields(ExperimentConfig)}
         model = {f.name: f.default for f in fields(ModelConfig) if f.name != "feature_cards"}
         assert model == {name: experiment[name] for name in model}
-        assert {f.name for f in fields(ReclusterOptions)} <= set(experiment)
+        recluster = {f.name: f.default for f in fields(ReclusterOptions)}
+        assert recluster == {name: experiment[name] for name in recluster}
 
 
 class TestTrainLoop:
@@ -145,7 +165,7 @@ class TestTrainLoop:
         result = train(config, dataset)
         vals = [r.val_loss for r in result.history]
         assert result.best_epoch == int(np.argmin(vals))
-        assert result.best_val_loss == pytest.approx(min(vals))
+        assert result.metrics["val_loss"] == pytest.approx(min(vals))
         # the returned model is the best checkpoint, not the last, with no
         # gradient left on it
         assert result.best_epoch < len(result.history) - 1
@@ -172,15 +192,15 @@ class TestTrainLoop:
         result = train(tiny_config(reg_weight=0.3), tiny_dataset())
         assert any(r.reg_loss > 0.0 for r in result.history)
 
-    def test_divergence_carries_last_good_checkpoint(self):
+    def test_non_finite_training_loss_diverges_with_its_diagnostic(self):
         dataset = tiny_dataset()
         dataset.series[:, 0, 0] = np.nan  # poison every sample, any split
-        with pytest.raises(TrainingDiverged) as excinfo:
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0 step 0") as excinfo:
             train(tiny_config(), dataset)
-        result = excinfo.value.result
-        assert result.diverged
-        assert result.divergence_info["epoch"] == 0
-        assert result.model is not None
+        info = excinfo.value.info
+        assert info["epoch"] == 0 and info["step"] == 0
+        assert not np.isfinite(info["train_loss"])
+        assert info["reg_loss"] == 0.0
 
     def test_empty_training_split_fails_before_the_first_epoch(self):
         # 3 samples at val_fraction 0.9: all 3 go to validation
@@ -372,7 +392,24 @@ class TestEvaluate:
             result.norm_std,
         )
         assert again == result.metrics
-        assert result.best_val_loss == result.metrics["val_loss"] == result.history[result.best_epoch].val_loss
+        assert result.metrics["val_loss"] == result.history[result.best_epoch].val_loss
+
+    def test_validation_ranks_logits_too_large_for_a_sigmoid(self, monkeypatch):
+        dataset = tiny_dataset()
+        config = tiny_config(epochs=1)
+        result = train(config, dataset)
+        _, val_idx = _split_indices(
+            dataset.series.shape[0], config.val_fraction, np.random.default_rng([config.seed, 3])
+        )
+        labels = dataset.labels[val_idx].astype(np.float64)
+        assert 0 < labels.sum() < labels.size
+        z = np.where(np.arange(labels.size) % 3 == 0, 800.0, -800.0)
+        monkeypatch.setattr(trainer, "_batched_logits", lambda model, x, membership: z)
+        report = evaluate(
+            result.model, result.cluster_state, result.membership, dataset, config, result.norm_mean, result.norm_std
+        )
+        assert report["auroc"] == metrics.auroc(z, labels)
+        assert report["auprc"] == metrics.auprc(z, labels)
 
     def test_training_runs_one_validation_pass_per_epoch(self, monkeypatch):
         calls = []
@@ -397,11 +434,10 @@ class TestEvaluate:
         dataset.series[val_idx, 0, 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite validation loss at epoch 0") as excinfo:
             train(config, dataset)
-        result = excinfo.value.result
-        assert result.diverged
-        assert result.divergence_info["epoch"] == 0
-        assert not np.isfinite(result.divergence_info["val_loss"])
-        assert result.history == [] and result.best_epoch == -1
+        info = excinfo.value.info
+        assert info["epoch"] == 0
+        assert info["step"] == 2  # both of the epoch's 40-row batches have run
+        assert not np.isfinite(info["val_loss"])
 
     def test_chunked_validation_logits_equal_one_forward(self, monkeypatch):
         # a 40-sample validation split runs as chunks of 7, 7, 7, 7, 7, 5
