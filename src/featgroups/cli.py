@@ -207,23 +207,13 @@ def require_dataset(root: Path, config: dict) -> LabeledDataset:
     return dataset
 
 
-def require_groups_fit(groups: int, dataset: LabeledDataset):
-    """Clustering the dataset's features into `groups` clusters needs at
-    least as many features as groups."""
-    features = dataset.series.shape[2]
-    if groups > features:
-        raise ConfigError(f"train config invalid: groups {groups} exceeds the dataset's {features} features")
-
-
-def require_group_per_feature(name: str, ids, dataset: LabeledDataset):
-    """A given grouping, `fixed_groups` or `prior_groups`, lists one group id
-    per feature of the dataset."""
-    features = dataset.series.shape[2]
-    if not isinstance(ids, list) or len(ids) != features:
-        raise ConfigError(
-            f"train config invalid: {name} must list one group id for each of the dataset's {features} features,"
-            f" got {ids!r}"
-        )
+def require_trainable(exp: ExperimentConfig, dataset: LabeledDataset, **changes):
+    """`exp` with `changes`, a config a command will train on `dataset`, must
+    be valid and fit the dataset's features."""
+    try:
+        replace(exp, **changes).check_features(dataset.series.shape[2])
+    except ValueError as exc:
+        raise ConfigError(f"train config invalid: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +261,15 @@ def write_run_artifacts(result: TrainResult, exp: ExperimentConfig, out: Path):
     write_checkpoint(out / "checkpoint.bin", model_state, result.cluster_state)
 
 
+def write_csv(path: Path, schema: str, header: str, rows):
+    """A CSV artifact: a `# schema:` line, the header, then one line of
+    comma-joined values per row."""
+    with atomic_write(path) as fh:
+        fh.write(f"# schema: {schema}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(str(value) for value in row) + "\n")
+
+
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -294,12 +293,7 @@ def cmd_train(args) -> int:
     dataset = require_dataset(root, config)
     exp = experiment_config(config)
     seeds = parse_seeds(args.seeds, [exp.seed])
-    if exp.grouping == "fixed":  # may leave groups empty, so only its length is checked
-        require_group_per_feature("fixed_groups", exp.fixed_groups, dataset)
-    else:
-        require_groups_fit(exp.groups, dataset)
-        if exp.init == "prior":
-            require_group_per_feature("prior_groups", exp.prior_groups, dataset)
+    require_trainable(exp, dataset)
     for seed in seeds:
         out = root if len(seeds) == 1 else root / f"seed_{seed}"
         metrics = run_single_training(replace(exp, seed=seed), dataset, out)
@@ -361,11 +355,10 @@ def cmd_benchmark(args) -> int:
     else:
         dataset = generate_dataset(spec)
         save_dataset(dataset, binary, sidecar)
-    # every benchmark runs the dynamic grouping and the static K-means
-    # baselines, which score K clusters against the ground-truth groups
-    require_groups_fit(exp.groups, dataset)
-    if exp.init == "prior":
-        require_group_per_feature("prior_groups", exp.prior_groups, dataset)
+    # the dynamic cells train this config; the random and oracle cells take
+    # their groups from the dataset, and the static K-means baselines score
+    # K clusters against its ground-truth groups
+    require_trainable(exp, dataset, grouping="dynamic", fixed_groups=None)
     if exp.groups > len(dataset.truth_groups):
         raise ConfigError(
             f"train config invalid: groups {exp.groups} exceeds the dataset's"
@@ -384,32 +377,23 @@ def cmd_benchmark(args) -> int:
                 fh.write(traceback.format_exc())
             outcomes.append({"error": f"{type(exc).__name__}: {exc}", "seconds": 0.0, "out": str(cell)})
     by_variant: dict[str, list] = {v: [] for v in BENCHMARK_VARIANTS}
-    for (variant, seed), outcome in zip(cells, outcomes):
-        by_variant[variant].append((seed, outcome))
+    for (variant, _), outcome in zip(cells, outcomes):
+        by_variant[variant].append(outcome)
 
+    table = []
+    for variant in BENCHMARK_VARIANTS:
+        rows = by_variant[variant]
+        if any("error" in outcome for outcome in rows):
+            table.append((variant, len(rows), "", "", "", "", "", "", "FAILED"))
+            continue
+        stats = []
+        for key in ("ari", "nmi", "silhouette"):
+            values = np.array([_float_or_nan(outcome[key]) for outcome in rows])
+            stats += [f"{np.nanmean(values):.6f}", f"{np.nanstd(values):.6f}"]
+        table.append((variant, len(rows), *stats, "OK"))
     table_path = root / "benchmark.csv"
-    with atomic_write(table_path) as fh:
-        fh.write(f"# schema: {BENCHMARK_SCHEMA}\n")
-        fh.write(
-            "variant,seeds,ari_mean,ari_std,nmi_mean,nmi_std,"
-            "silhouette_mean,silhouette_std,status\n"
-        )
-        for variant in BENCHMARK_VARIANTS:
-            rows = by_variant[variant]
-            failed = [outcome for _, outcome in rows if "error" in outcome]
-            if failed:
-                fh.write(f"{variant},{len(rows)},,,,,,,FAILED\n")
-                continue
-            stats = {}
-            for key in ("ari", "nmi", "silhouette"):
-                values = np.array([_float_or_nan(outcome[key]) for _, outcome in rows])
-                stats[key] = (np.nanmean(values), np.nanstd(values))
-            fh.write(
-                f"{variant},{len(rows)},"
-                f"{stats['ari'][0]:.6f},{stats['ari'][1]:.6f},"
-                f"{stats['nmi'][0]:.6f},{stats['nmi'][1]:.6f},"
-                f"{stats['silhouette'][0]:.6f},{stats['silhouette'][1]:.6f},OK\n"
-            )
+    header = "variant,seeds,ari_mean,ari_std,nmi_mean,nmi_std,silhouette_mean,silhouette_std,status"
+    write_csv(table_path, BENCHMARK_SCHEMA, header, table)
 
     manifest = {
         "schema": BENCHMARK_SCHEMA,
@@ -461,17 +445,9 @@ def cmd_history(args) -> int:
     out = Path(args.out) if args.out else path.parent
     out.mkdir(parents=True, exist_ok=True)
     flow_path = out / "cluster_flow.csv"
-    with atomic_write(flow_path) as fh:
-        fh.write(f"# schema: {FLOW_SCHEMA}\n")
-        fh.write("epoch,feature,cluster\n")
-        for row in flow_rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]}\n")
+    write_csv(flow_path, FLOW_SCHEMA, "epoch,feature,cluster", flow_rows)
     sizes_path = out / "cluster_sizes.csv"
-    with atomic_write(sizes_path) as fh:
-        fh.write(f"# schema: {FLOW_SCHEMA}\n")
-        fh.write("epoch,cluster,size\n")
-        for row in size_rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]}\n")
+    write_csv(sizes_path, FLOW_SCHEMA, "epoch,cluster,size", size_rows)
     print(f"wrote {flow_path} and {sizes_path}")
     return 0
 

@@ -52,14 +52,14 @@ class ModelConfig:
     feature_init: str = "shared"  # shared | independent
 
     def __post_init__(self):
-        if self.agg_mode not in AGG_MODES:
-            raise ValueError(f"unknown aggregation mode {self.agg_mode!r}, expected one of {AGG_MODES}")
-        if self.psi not in PSI_KINDS:
-            raise ValueError(f"unknown psi kind {self.psi!r}, expected one of {PSI_KINDS}")
-        if self.seq_width % self.seq_heads != 0:
-            raise ValueError("seq_width must be divisible by seq_heads")
-        if self.feature_init not in FEATURE_INITS:
-            raise ValueError(f"unknown feature_init {self.feature_init!r}, expected one of {FEATURE_INITS}")
+        for name, allowed in (("agg_mode", AGG_MODES), ("psi", PSI_KINDS), ("feature_init", FEATURE_INITS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name in ("hidden", "groups", "seq_width", "seq_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seq_width % self.seq_heads:
+            raise ValueError(f"seq_width {self.seq_width} must be divisible by seq_heads {self.seq_heads}")
         if any(cf != 1 for cf in self.feature_cards):
             raise ValueError(f"feature_cards must all be 1 (features are numerical), got {self.feature_cards}")
 

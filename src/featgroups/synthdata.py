@@ -47,8 +47,13 @@ class GpSpec:
         for name, low in (("length", 1), ("samples", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        self.length_scales = tuple(float(v) for v in self.length_scales)
-        self.amplitudes = tuple(float(v) for v in self.amplitudes)
+        for name in ("length_scales", "amplitudes"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+            ):
+                raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+            setattr(self, name, tuple(float(v) for v in values))
         if len(self.length_scales) != self.features or len(self.amplitudes) != self.features:
             raise ValueError("length_scales and amplitudes must list one value per feature")
         if any(v <= 0 for v in self.length_scales) or any(v <= 0 for v in self.amplitudes):

@@ -61,7 +61,7 @@ from .clustering import (
     unify,
 )
 from .metrics import ari, auprc, auroc, nmi, silhouette
-from .model import AGG_MODES, FEATURE_INITS, PSI_KINDS, GroupedStepwiseModel, ModelConfig, supervised_loss
+from .model import GroupedStepwiseModel, ModelConfig, supervised_loss
 from .synthdata import LabeledDataset
 
 RESULTS_SCHEMA = "featgroups-results-v1"
@@ -116,18 +116,20 @@ class ExperimentConfig:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            kind = {"int": numbers.Integral, "float": numbers.Real}.get(field.type)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}.get(field.type)
+            # a bool passes only a bool field, and a bool field takes only a bool
+            if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
                 raise ValueError(f"{field.name} must be of type {field.type}, got {value!r}")
         for name, allowed in (
-            ("agg_mode", AGG_MODES),
-            ("psi", PSI_KINDS),
+            ("grouping", ("dynamic", "fixed")),
+            ("algorithm", ("kmeans", "fuzzy", "gmm")),
+            ("init", ("kmeanspp", "prior")),
+            ("recluster_unit", ("epoch", "batch", "never")),
             ("membership", MEMBERSHIP_MODES),
             ("combine_mode", COMBINE_MODES),
             ("covariance_type", COVARIANCE_TYPES),
             ("ema_rule", EMA_RULES),
             ("reg_variant", REG_VARIANTS),
-            ("feature_init", FEATURE_INITS),
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
@@ -138,37 +140,17 @@ class ExperimentConfig:
         ):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        for name, low in (
-            ("seed", 0),
-            ("batch_size", 1),
-            ("epochs", 1),
-            ("groups", 1),
-            ("patience", 0),
-            ("hidden", 1),
-            ("seq_width", 1),
-            ("seq_heads", 1),
-        ):
+        for name, low in (("seed", 0), ("batch_size", 1), ("epochs", 1), ("patience", 0), ("recluster_every", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.seq_width % self.seq_heads:
-            raise ValueError(f"seq_width {self.seq_width} must be divisible by seq_heads {self.seq_heads}")
         for name, low in (("lr", 0.0), ("fuzzifier", 1.0)):
             if not getattr(self, name) > low:
                 raise ValueError(f"{name} must be > {low}, got {getattr(self, name)}")
-        if self.recluster_every < 1:
-            raise ValueError("recluster_every must be >= 1 (use recluster_unit='never' to disable)")
-        if self.recluster_unit not in ("epoch", "batch", "never"):
-            raise ValueError(f"unknown recluster_unit {self.recluster_unit!r}")
-        if self.grouping not in ("dynamic", "fixed"):
-            raise ValueError(f"unknown grouping {self.grouping!r}")
-        if self.algorithm not in ("kmeans", "fuzzy", "gmm"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.init not in ("kmeanspp", "prior"):
-            raise ValueError(f"unknown init {self.init!r}")
-        # the one given grouping the run reads, if any: its fixed groups, or
-        # the prior its dynamic grouping starts from
-        if self.grouping == "fixed" or self.init == "prior":
-            name = "fixed_groups" if self.grouping == "fixed" else "prior_groups"
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in (0, 1)")
+        self.model_config(features=1)  # the model's own settings; the feature count is the dataset's
+        name = self.given_grouping
+        if name is not None:
             ids = getattr(self, name)
             if ids is None:
                 raise ValueError(f"grouping {self.grouping!r} with init {self.init!r} needs {name}")
@@ -178,8 +160,32 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list of ints in [0, {self.groups}), got {ids!r}")
             if name == "prior_groups" and set(ids) != set(range(self.groups)):
                 raise ValueError(f"prior_groups must use every group id in [0, {self.groups}), got {ids!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+
+    @property
+    def given_grouping(self) -> str | None:
+        """The field holding the one given grouping the run reads, if any:
+        its fixed groups, or the prior its dynamic grouping starts from."""
+        if self.grouping == "fixed":
+            return "fixed_groups"
+        return "prior_groups" if self.init == "prior" else None
+
+    def model_config(self, features: int) -> ModelConfig:
+        """The model this run trains on `features` numerical features."""
+        settings = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "feature_cards"}
+        return ModelConfig(feature_cards=[1] * features, **settings)
+
+    def check_features(self, features: int):
+        """Check the run against a dataset of `features` features: a dynamic
+        grouping clusters them into at most `features` groups (a fixed one may
+        leave groups empty), and the given grouping lists one id per feature."""
+        if self.grouping == "dynamic" and self.groups > features:
+            raise ValueError(f"groups {self.groups} exceeds the dataset's {features} features")
+        name = self.given_grouping
+        if name is not None and len(getattr(self, name)) != features:
+            raise ValueError(
+                f"{name} must list one group id for each of the dataset's {features} features,"
+                f" got {getattr(self, name)!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -350,11 +356,7 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
         x_train /= norm_std
         x_val = (x_val - norm_mean) / norm_std
 
-    model_config = ModelConfig(
-        feature_cards=[1] * x.shape[2],
-        **{f.name: getattr(config, f.name) for f in fields(ModelConfig) if f.name != "feature_cards"},
-    )
-    model = GroupedStepwiseModel(model_config, rng_model)
+    model = GroupedStepwiseModel(config.model_config(x.shape[2]), rng_model)
     # start the output at the class prior (Lin et al. 2017, sec. 4.1). The
     # classifier then needs tens of epochs to leave the prior plateau, where
     # the validation loss only jitters around the constant predictor's loss;

@@ -88,6 +88,24 @@ class TestGenerate:
         assert f"dataset config invalid: {message}" in capsys.readouterr().err
         assert not (out / "dataset.bin").exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("dataset.length_scales=5", "length_scales must be a list of numbers, got 5"),
+            (
+                'dataset.length_scales=[1,2,4,8,1,"a"]',
+                "length_scales must be a list of numbers, got [1, 2, 4, 8, 1, 'a']",
+            ),
+            ('dataset.amplitudes="0.5"', "amplitudes must be a list of numbers, got '0.5'"),
+            ("dataset.amplitudes=[0.5,1,3.5,0.5,0.5,true]", "amplitudes must be a list of numbers"),
+        ],
+    )
+    def test_bad_scales_exit_2_naming_them(self, tmp_path, capsys, override, message):
+        out = tmp_path / "o"
+        assert run(["generate", "--config", write_config(tmp_path), "--out", str(out), "--override", override]) == 2
+        assert f"dataset config invalid: {message}" in capsys.readouterr().err
+        assert not (out / "dataset.bin").exists()
+
     def test_non_string_output_dir_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
@@ -282,6 +300,11 @@ class TestTrain:
                 ["init=prior", "prior_groups=[0,1,2,0,1,2,0]"],
                 "prior_groups must list one group id for each of the dataset's 6 features",
             ),
+            (
+                ['positional_encoding="false"'],
+                "train config invalid: positional_encoding must be of type bool, got 'false'",
+            ),
+            (["standardize=0"], "train config invalid: standardize must be of type bool, got 0"),
         ],
     )
     def test_out_of_range_value_exits_2_naming_field(self, tmp_path, capsys, overrides, field):
@@ -411,6 +434,18 @@ class TestBenchmark:
         argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
         assert run(argv + ["--override", "init=prior", "--override", "prior_groups=[0,1,2]"]) == 2
         assert "prior_groups must list one group id for each of the dataset's 6 features" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+        assert not any(out.glob("*/seed_0"))
+
+    def test_prior_groups_the_dynamic_cells_read_exit_2_before_any_cell(self, tmp_path, capsys):
+        # a fixed grouping of its own does not exempt the prior the dynamic cells start from
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
+        for item in ("grouping=fixed", "fixed_groups=[0,0,1,1,2,2]", "init=prior", 'prior_groups=[0,0,1,1,2,"a"]'):
+            argv += ["--override", item]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "train config invalid: prior_groups must be a list of ints in [0, 3), got [0, 0, 1, 1, 2, 'a']" in err
         assert not (out / "benchmark.csv").exists()
         assert not any(out.glob("*/seed_0"))
 

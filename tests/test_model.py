@@ -26,6 +26,21 @@ def hard_groups(assignment, k):
     return member
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(agg_mode="bogus"), "^agg_mode must be one of"),
+            (dict(seq_heads=0), "^seq_heads must be >= 1"),
+            (dict(hidden=0), "^hidden must be >= 1"),
+            (dict(seq_width=5, seq_heads=2), "^seq_width 5 must be divisible by seq_heads 2"),
+        ],
+    )
+    def test_bad_setting_names_its_field(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**dict(feature_cards=[1] * 4, **overrides))
+
+
 class TestFeatureEmbed:
     def test_identity_psi_scales_weight_column(self):
         model = make_model(feature_cards=[1], groups=1, psi="identity")

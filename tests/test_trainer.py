@@ -127,6 +127,37 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             tiny_config(**{name: "bogus"})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (f.name, value)
+            for f in fields(ExperimentConfig)
+            for value in {"int": (1.5, True), "float": ("0.5", False), "bool": (0, "false")}.get(f.type, ())
+        ],
+    )
+    def test_value_of_the_wrong_kind_names_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be of type"):
+            tiny_config(**{name: value})
+
+    def test_given_grouping_is_the_list_the_run_reads(self):
+        assert tiny_config().given_grouping is None
+        assert tiny_config(init="prior", prior_groups=[0, 1, 2]).given_grouping == "prior_groups"
+        fixed = tiny_config(grouping="fixed", fixed_groups=[0], init="prior", prior_groups=["unused"])
+        assert fixed.given_grouping == "fixed_groups"
+
+    def test_model_config_carries_the_model_settings(self):
+        config = tiny_config(agg_mode="concat", psi="relu", seq_heads=4, positional_encoding=True)
+        assert config.model_config(5) == ModelConfig(
+            feature_cards=[1] * 5,
+            hidden=3,
+            groups=3,
+            agg_mode="concat",
+            psi="relu",
+            seq_width=4,
+            seq_heads=4,
+            positional_encoding=True,
+        )
+
     def test_model_and_recluster_settings_are_experiment_fields(self):
         # `train` fills ModelConfig and ReclusterOptions by field name
         experiment = {f.name: f.default for f in fields(ExperimentConfig)}
