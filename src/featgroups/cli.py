@@ -325,7 +325,8 @@ def benchmark_variant(variant: str, exp: ExperimentConfig, dataset: LabeledDatas
             "out": None,
         }
     if variant == "oracle":
-        exp = replace(exp, grouping="fixed", fixed_groups=truth.tolist())
+        # one group per truth group, whatever K the other cells use
+        exp = replace(exp, grouping="fixed", fixed_groups=truth.tolist(), groups=len(dataset.truth_groups))
     elif variant == "random":
         assignment = np.random.default_rng([seed, 99]).integers(0, exp.groups, size=truth.size)
         exp = replace(exp, grouping="fixed", fixed_groups=assignment.tolist())

@@ -244,16 +244,35 @@ def _cholesky(covariances: np.ndarray) -> np.ndarray:
         raise
 
 
-def _log_joint(points: np.ndarray, state: ClusterState) -> np.ndarray:
+def _moments(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points' mean c and the (F, D·(D + 1)) features vec(y [y, 1]ᵀ) of
+    the centred points y = x - c: for each i, y_i y and then y_i. Centring
+    keeps the quadratic terms of a tight cluster far from the origin from
+    cancelling away the digits of its log-density."""
+    centre = points.mean(axis=0)
+    z = np.ones((points.shape[0], points.shape[1] + 1))
+    y = np.subtract(points, centre, out=z[:, :-1])
+    return centre, np.einsum("fi,fj->fij", y, z).reshape(points.shape[0], -1)
+
+
+def _log_joint(moments: tuple[np.ndarray, np.ndarray], state: ClusterState) -> np.ndarray:
     """log(pi_k N(x_f | mu_k, Sigma_k)) as (..., F, K), one leading axis per
-    stacked run."""
+    stacked run, from the points' ``_moments``: with P = Sigma_k⁻¹ and
+    mu' = mu_k - c, one product of the features with the rows [-½ P, P mu']
+    plus a per-component constant. The result is a view of a (..., K, F)
+    array, so reductions over K run along contiguous memory."""
+    centre, features = moments
     d = state.centroids.shape[-1]
     chol = _cholesky(state.covariances)
-    diff = points - state.centroids[..., :, None, :]  # (..., K, F, D)
-    solved = diff @ np.linalg.inv(chol).swapaxes(-1, -2)  # rows L^-1 (x - mu)
+    inv_chol = np.linalg.inv(chol)
+    precision = inv_chol.swapaxes(-1, -2) @ inv_chol
+    mean = state.centroids - centre
+    linear = precision @ mean[..., None]
+    coeffs = np.concatenate([-0.5 * precision, linear], axis=-1)  # (..., K, D, D + 1)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    log_gauss = -0.5 * ((solved**2).sum(axis=-1) + logdet[..., None] + d * np.log(2.0 * np.pi))
-    return log_gauss.swapaxes(-1, -2) + np.log(state.weights)[..., None, :]
+    const = np.log(state.weights) - 0.5 * ((mean * linear[..., 0]).sum(axis=-1) + logdet + d * np.log(2.0 * np.pi))
+    products = coeffs.reshape(-1, features.shape[1]) @ features.T  # (... · K, F)
+    return (products.reshape(const.shape + (-1,)) + const[..., None]).swapaxes(-1, -2)
 
 
 def _log_evidence(log_joint: np.ndarray) -> np.ndarray:
@@ -269,11 +288,11 @@ def _responsibilities(log_joint: np.ndarray) -> np.ndarray:
 
 def gmm_log_likelihood(points: np.ndarray, state: ClusterState) -> float | np.ndarray:
     """Σ_f log p(x_f): a float, or one per run of a stacked state."""
-    return _log_evidence(_log_joint(points, state)).sum(axis=-1)
+    return _log_evidence(_log_joint(_moments(points), state)).sum(axis=-1)
 
 
 def gmm_responsibilities(points: np.ndarray, state: ClusterState) -> np.ndarray:
-    return _responsibilities(_log_joint(points, state))
+    return _responsibilities(_log_joint(_moments(points), state))
 
 
 def _repair_starved(resp: np.ndarray, log_joint: np.ndarray, starved: np.ndarray):
@@ -302,20 +321,28 @@ def gmm_em_step(points: np.ndarray, state: ClusterState):
     k, d = state.centroids.shape[-2:]
     if points.shape[0] < k:
         raise ValueError(f"need at least K={k} points, got {points.shape[0]}")
-    log_joint = _log_joint(points, state)
+    centre, features = moments = _moments(points)
+    log_joint = _log_joint(moments, state)
     resp = _responsibilities(log_joint)
-    nk = resp.sum(axis=-2)
-    if (nk < STARVED_MASS).any():
-        _repair_starved(resp, log_joint, nk < STARVED_MASS)
-        nk = resp.sum(axis=-2)
-    nk = np.maximum(nk, 1e-12)  # a component a repair left empty keeps a finite mean
+    mass = resp.sum(axis=-2)
+    if (mass < STARVED_MASS).any():
+        _repair_starved(resp, log_joint, mass < STARVED_MASS)
+        mass = resp.sum(axis=-2)
+    nk = np.maximum(mass, 1e-12)  # a component a repair left empty keeps a finite mean
     resp_t = resp.swapaxes(-1, -2)  # (..., K, F)
     means = (resp_t @ points) / nk[..., None]
     weights = nk / points.shape[0]
     weights = weights / weights.sum(axis=-1, keepdims=True)
 
-    diff = points - means[..., :, None, :]  # (..., K, F, D)
-    cov = ((resp_t[..., None] * diff).swapaxes(-1, -2) @ diff) / nk[..., None, None]
+    # Σ_f r_f (y_f - mu')(y_f - mu')ᵀ = S - m mu'ᵀ - mu' mᵀ + s mu' mu'ᵀ for the
+    # weighted moments S = Σ r y yᵀ, m = Σ r y and s = Σ r of each component
+    stats = (resp_t.reshape(-1, points.shape[0]) @ features).reshape(mass.shape + (d, d + 1))
+    second, first = stats[..., :d], stats[..., d:]
+    mean = (means - centre)[..., None]
+    cross = first * mean.swapaxes(-1, -2)
+    cov = second - cross - cross.swapaxes(-1, -2) + mass[..., None, None] * mean * mean.swapaxes(-1, -2)
+    cov /= nk[..., None, None]
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     cov += COVARIANCE_JITTER * np.eye(d)
     return resp, means, _constrain(cov, state.covariance_type, weights), weights
 

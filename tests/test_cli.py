@@ -404,6 +404,15 @@ class TestBenchmark:
         assert manifest["seeds"] == [0, 1]
         assert all("wall_seconds" in run_info for run_info in manifest["runs"])
 
+    def test_fewer_groups_than_truth_groups_keeps_the_oracle_row(self, tmp_path):
+        # the oracle cell trains the 3 truth groups whatever K the others use
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--config", write_config(tmp_path), "--out", str(out), "--seeds", "0"]
+        assert run(argv + ["--override", "groups=2"]) == 0
+        rows = {line.split(",")[0]: line.split(",") for line in (out / "benchmark.csv").read_text().splitlines()[2:]}
+        assert all(row[-1] == "OK" for row in rows.values()), rows
+        assert float(rows["oracle"][2]) == pytest.approx(1.0)
+
     def test_bad_field_exits_2_before_any_cell(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "bench"

@@ -25,6 +25,7 @@ from featgroups.clustering import (
     fuzzy_memberships,
     gmm_em_step,
     gmm_log_likelihood,
+    gmm_responsibilities,
     hard_membership,
     init_kmeanspp,
     init_prior,
@@ -274,6 +275,56 @@ class TestGmm:
         for r, state in enumerate((healthy, starved)):
             for batched, alone in zip(together, gmm_em_step(points, state)):
                 np.testing.assert_allclose(batched[r], alone, rtol=0, atol=1e-12)
+
+    def test_log_density_matches_a_per_component_solve(self):
+        # a tight cloud far from the origin, one component shrunk to the
+        # jitter: the quadratic terms of x run to 1e9, so the kernel keeps the
+        # digits only if it works on the centred points
+        rng = np.random.default_rng(61)
+        points = 10.0 + 0.01 * rng.normal(size=(240, 12))
+        scatter = np.cov(points.T, bias=True)
+        state = ClusterState(
+            kind="gmm",
+            centroids=points[[0, 80, 160]],
+            covariances=np.stack([scatter, 0.5 * scatter + 1e-6 * np.eye(12), 1e-6 * np.eye(12)]),
+            weights=np.array([0.5, 0.3, 0.2]),
+        )
+        log_joint = np.empty((240, 3))
+        for j in range(3):
+            diff = points - state.centroids[j]
+            maha = (diff * np.linalg.solve(state.covariances[j], diff.T).T).sum(axis=1)
+            logdet = np.linalg.slogdet(state.covariances[j])[1]
+            log_joint[:, j] = np.log(state.weights[j]) - 0.5 * (maha + logdet + 12 * np.log(2 * np.pi))
+        peak = log_joint.max(axis=1, keepdims=True)
+        evidence = peak[:, 0] + np.log(np.exp(log_joint - peak).sum(axis=1))
+        assert gmm_log_likelihood(points, state) == pytest.approx(evidence.sum(), rel=0, abs=1e-9)
+        expected = np.exp(log_joint - evidence[:, None])
+        np.testing.assert_allclose(gmm_responsibilities(points, state), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cov_type", COVARIANCE_TYPES)
+    def test_covariances_symmetric_positive_definite_after_a_repair_empties_one(self, cov_type):
+        # component 2 sits far from every point, so it is starved and takes
+        # the point the mixture explains worst: the outlier, whose broad
+        # component 1 held nothing else and is left with ~1e-26 of a point
+        rng = np.random.default_rng(60)
+        points = np.vstack([rng.normal(size=(20, 3)) * 0.3, [[16.0, -12.0, 8.0]]])
+        state = ClusterState(
+            kind="gmm",
+            centroids=np.array([[0.0, 0.0, 0.0], [16.0, -12.0, 8.0], [400.0, 400.0, 400.0]]),
+            covariances=np.stack([0.1 * np.eye(3), 4.0 * np.eye(3), np.eye(3)]),
+            weights=np.array([0.9, 0.05, 0.05]),
+            covariance_type=cov_type,
+        )
+        resp, _, cov, _ = gmm_em_step(points, state)
+        np.testing.assert_array_equal(resp[20], [0.0, 0.0, 1.0])
+        assert resp[:, 1].sum() < 1e-12
+        # symmetric to a few ulp, as a sum of products need not come out
+        # bit-symmetric; moments without ½(C + Cᵀ) are ~75 ulp off
+        np.testing.assert_allclose(cov, cov.swapaxes(-1, -2), rtol=2e-15, atol=0)
+        assert (np.linalg.eigvalsh(cov) > 0).all()
+        if cov_type != "tied":
+            # the emptied component keeps the jitter alone
+            np.testing.assert_allclose(cov[1], clustering.COVARIANCE_JITTER * np.eye(3), rtol=0, atol=1e-9)
 
 
 def stacked(states):

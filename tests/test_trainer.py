@@ -169,7 +169,8 @@ class TestConfig:
 
 class TestTrainLoop:
     def test_single_group_no_reg_trains(self):
-        result = train(tiny_config(groups=1, reg_weight=0.0), tiny_dataset())
+        with pytest.warns(UserWarning, match="NMI undefined"):
+            result = train(tiny_config(groups=1, reg_weight=0.0), tiny_dataset())
         assert len(result.history) == 4
         assert all(r.reg_loss == 0.0 for r in result.history)
         assert all(np.array(r.membership).sum(axis=1).min() >= 1 for r in result.history)
