@@ -71,6 +71,9 @@ def default_config() -> dict:
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
+    """The defaults, then the config file at `path`, then each `--override`
+    in order. An override is a one-field config: a bare key is a train field
+    (or `output_dir`), a dotted key `dataset.f` or `train.f`."""
     config = default_config()
     if path is not None:
         try:
@@ -80,55 +83,47 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-        schema = user.get("schema", CONFIG_SCHEMA)
-        if schema != CONFIG_SCHEMA:
-            raise ConfigError(f"{path}: unsupported schema {schema!r} (expected {CONFIG_SCHEMA})")
-        for section in ("dataset", "train"):
-            body = user.get(section, {})
-            if not isinstance(body, dict):
-                raise ConfigError(f"{path}: section {section!r} must be an object")
-            for key, value in body.items():
-                if key not in config[section]:
-                    raise ConfigError(f"{path}: unknown field {section}.{key}")
-                config[section][key] = value
-        if "output_dir" in user:
-            config["output_dir"] = user["output_dir"]
-        unknown = set(user) - {"schema", "dataset", "train", "output_dir"}
-        if unknown:
-            raise ConfigError(f"{path}: unknown top-level fields {sorted(unknown)}")
+        _merge(config, user, path)
     for item in overrides:
-        apply_override(config, item)
+        key, eq, raw = item.partition("=")
+        if not eq:
+            raise ConfigError(f"override {item!r} must look like key=value")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        parts = key.split(".")
+        if len(parts) == 2 and parts[0] in ("dataset", "train"):
+            user = {parts[0]: {parts[1]: value}}
+        elif len(parts) == 1:
+            user = {"output_dir": value} if key == "output_dir" else {"train": {key: value}}
+        else:
+            raise ConfigError(f"override {key!r}: no such config path")
+        _merge(config, user, f"override {key!r}")
     return config
 
 
-def apply_override(config: dict, item: str):
-    """`--override dotted.path=value`; bare keys resolve into the train section."""
-    if "=" not in item:
-        raise ConfigError(f"override {item!r} must look like key=value")
-    key, raw = item.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    parts = key.split(".")
-    if len(parts) == 1:
-        if parts[0] in config["train"]:
-            config["train"][parts[0]] = value
-            return
-        if parts[0] == "output_dir":
-            config["output_dir"] = value
-            return
-        raise ConfigError(f"override {key!r}: no such train field")
-    node = config
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"override {key!r}: no such config path")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"override {key!r}: no such config path")
-    node[parts[-1]] = value
+def _merge(config: dict, user, source: str):
+    """Merge `user`, a config object read from `source`, into `config`;
+    anything that is not a known field fails naming `source`."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{source}: top level must be a JSON object")
+    schema = user.get("schema", CONFIG_SCHEMA)
+    if schema != CONFIG_SCHEMA:
+        raise ConfigError(f"{source}: unsupported schema {schema!r} (expected {CONFIG_SCHEMA})")
+    for section in ("dataset", "train"):
+        body = user.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"{source}: section {section!r} must be an object")
+        for key, value in body.items():
+            if key not in config[section]:
+                raise ConfigError(f"{source}: unknown field {section}.{key}")
+            config[section][key] = value
+    if "output_dir" in user:
+        config["output_dir"] = user["output_dir"]
+    unknown = set(user) - {"schema", "dataset", "train", "output_dir"}
+    if unknown:
+        raise ConfigError(f"{source}: unknown top-level fields {sorted(unknown)}")
 
 
 def experiment_config(config: dict) -> ExperimentConfig:
@@ -302,28 +297,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _float_or_nan(value) -> float:
-    return float("nan") if value is None else float(value)
-
-
 def benchmark_variant(variant: str, exp: ExperimentConfig, dataset: LabeledDataset, out_root: Path) -> dict:
-    """One (variant, `exp.seed`) cell: returns ari/nmi/silhouette plus run info."""
+    """One (variant, `exp.seed`) cell's ari, nmi and silhouette; a trained
+    cell writes its run to `out_root/<variant>/seed_<seed>`."""
     seed = exp.seed
     truth = dataset.truth_labels
-    start = time.monotonic()
     if variant.startswith("static_"):
         mode = variant[len("static_") :]
         member = static_kmeans_baseline(dataset, mode, exp.groups, seed)
         partition = member.argmax(axis=1)
         vectors = static_transform(dataset, mode)
         sil = silhouette(vectors, partition) if len(np.unique(partition)) >= 2 else None
-        return {
-            "ari": ari(truth, partition),
-            "nmi": nmi(truth, partition),
-            "silhouette": sil,
-            "seconds": time.monotonic() - start,
-            "out": None,
-        }
+        return {"ari": ari(truth, partition), "nmi": nmi(truth, partition), "silhouette": sil}
     if variant == "oracle":
         # one group per truth group, whatever K the other cells use
         exp = replace(exp, grouping="fixed", fixed_groups=truth.tolist(), groups=len(dataset.truth_groups))
@@ -332,15 +317,8 @@ def benchmark_variant(variant: str, exp: ExperimentConfig, dataset: LabeledDatas
         exp = replace(exp, grouping="fixed", fixed_groups=assignment.tolist())
     else:  # dynamic
         exp = replace(exp, grouping="dynamic", fixed_groups=None)
-    out = out_root / variant / f"seed_{seed}"
-    metrics = run_single_training(exp, dataset, out)
-    return {
-        "ari": metrics["ari"],
-        "nmi": metrics["nmi"],
-        "silhouette": metrics["silhouette"],
-        "seconds": time.monotonic() - start,
-        "out": str(out),
-    }
+    metrics = run_single_training(exp, dataset, out_root / variant / f"seed_{seed}")
+    return {key: metrics[key] for key in ("ari", "nmi", "silhouette")}
 
 
 def cmd_benchmark(args) -> int:
@@ -365,33 +343,31 @@ def cmd_benchmark(args) -> int:
             f"train config invalid: groups {exp.groups} exceeds the dataset's"
             f" {len(dataset.truth_groups)} ground-truth groups, which the static baselines score against"
         )
-    cells = [(variant, seed) for variant in BENCHMARK_VARIANTS for seed in seeds]
-    outcomes = []
-    for variant, seed in cells:
-        cell = root / variant / f"seed_{seed}"
-        (cell / "error.txt").unlink(missing_ok=True)  # an earlier run's failure
-        try:
-            outcomes.append(benchmark_variant(variant, replace(exp, seed=seed), dataset, root))
-        except Exception as exc:  # a failed cell must not sink the table
-            cell.mkdir(parents=True, exist_ok=True)
-            with atomic_write(cell / "error.txt") as fh:
-                fh.write(traceback.format_exc())
-            outcomes.append({"error": f"{type(exc).__name__}: {exc}", "seconds": 0.0, "out": str(cell)})
-    by_variant: dict[str, list] = {v: [] for v in BENCHMARK_VARIANTS}
-    for (variant, _), outcome in zip(cells, outcomes):
-        by_variant[variant].append(outcome)
-
-    table = []
+    runs, table = [], []
     for variant in BENCHMARK_VARIANTS:
-        rows = by_variant[variant]
-        if any("error" in outcome for outcome in rows):
-            table.append((variant, len(rows), "", "", "", "", "", "", "FAILED"))
+        scores = []
+        for seed in seeds:
+            cell = root / variant / f"seed_{seed}"
+            (cell / "error.txt").unlink(missing_ok=True)  # an earlier run's failure
+            run = {"variant": variant, "seed": seed, "out": None if variant.startswith("static_") else str(cell)}
+            start = time.monotonic()
+            try:
+                scores.append(benchmark_variant(variant, replace(exp, seed=seed), dataset, root))
+                run.update(wall_seconds=round(time.monotonic() - start, 3), error=None)
+            except Exception as exc:  # a failed cell must not sink the table
+                cell.mkdir(parents=True, exist_ok=True)
+                with atomic_write(cell / "error.txt") as fh:
+                    fh.write(traceback.format_exc())
+                run.update(out=str(cell), wall_seconds=0.0, error=f"{type(exc).__name__}: {exc}")
+            runs.append(run)
+        if len(scores) < len(seeds):
+            table.append((variant, len(seeds), "", "", "", "", "", "", "FAILED"))
             continue
         stats = []
         for key in ("ari", "nmi", "silhouette"):
-            values = np.array([_float_or_nan(outcome[key]) for outcome in rows])
+            values = np.array([score[key] for score in scores], dtype=float)  # a None silhouette is nan
             stats += [f"{np.nanmean(values):.6f}", f"{np.nanstd(values):.6f}"]
-        table.append((variant, len(rows), *stats, "OK"))
+        table.append((variant, len(seeds), *stats, "OK"))
     table_path = root / "benchmark.csv"
     header = "variant,seeds,ari_mean,ari_std,nmi_mean,nmi_std,silhouette_mean,silhouette_std,status"
     write_csv(table_path, BENCHMARK_SCHEMA, header, table)
@@ -403,23 +379,14 @@ def cmd_benchmark(args) -> int:
         "dataset": None if dataset.spec is None else asdict(dataset.spec),
         "seeds": seeds,
         "table": str(table_path),
-        "runs": [
-            {
-                "variant": variant,
-                "seed": seed,
-                "out": outcome.get("out"),
-                "wall_seconds": round(outcome.get("seconds", 0.0), 3),
-                "error": outcome.get("error"),
-            }
-            for (variant, seed), outcome in zip(cells, outcomes)
-        ],
+        "runs": runs,
     }
     with atomic_write(root / "manifest.json") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(table_path.read_text(), end="")
-    failures = [run for run in manifest["runs"] if run["error"]]
-    for run in failures:
-        print(f"FAILED {run['variant']} seed {run['seed']}: {run['error']}", file=sys.stderr)
+    for run in runs:
+        if run["error"]:
+            print(f"FAILED {run['variant']} seed {run['seed']}: {run['error']}", file=sys.stderr)
     return 0
 
 
@@ -437,6 +404,8 @@ def cmd_history(args) -> int:
                 record = json.loads(line)
                 epoch = record["epoch"]
                 member = np.asarray(record["membership"], dtype=np.int64)
+                if member.ndim != 2 or member.shape[1] == 0:
+                    raise ValueError(f"membership must be a (features, clusters) matrix, got shape {member.shape}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed history record ({exc})")
             for feature in range(member.shape[0]):

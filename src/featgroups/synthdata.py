@@ -280,8 +280,13 @@ def load_dataset(binary_path, sidecar_path) -> LabeledDataset:
     """Read a dataset written by :func:`save_dataset`, checking its shapes,
     values and sidecar."""
     tensors = read_tensors(binary_path)
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+    try:
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar_path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{sidecar_path}: top level must be a JSON object")
     if sidecar.get("schema") != DATASET_SCHEMA:
         raise ValueError(f"{sidecar_path}: unexpected schema {sidecar.get('schema')!r}")
     _check_dataset(tensors, sidecar, binary_path, sidecar_path)

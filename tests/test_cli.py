@@ -128,6 +128,68 @@ class TestGenerate:
         assert "reg_weight" in capsys.readouterr().err
 
 
+class TestConfigSources:
+    """The config file and each `--override` merge by one rule; a bad one
+    exits 2 naming the file or the override, before any output."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "[1, 2]",
+            '{"schema": "featgroups-config-v2"}',
+            '{"dataset": [1]}',
+            '{"train": 5}',
+            '{"dataset": {}, "outputdir": "runs"}',
+        ],
+        ids=["missing", "not_an_object", "schema", "dataset_section", "train_section", "top_level_field"],
+    )
+    def test_bad_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "bad_config.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert run(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert "bad_config.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "item, name",
+        [
+            ("seed", "seed"),
+            ("bogus=1", "bogus"),
+            ("train.bogus=1", "train.bogus"),
+            ("dataset.bogus=1", "dataset.bogus"),
+            ("train.seed.x=1", "train.seed.x"),
+            ("output_dir.x=1", "output_dir.x"),
+            ("schema.x=1", "schema.x"),
+            ("schema=1", "schema"),
+        ],
+    )
+    def test_bad_override_exits_2_naming_it(self, tmp_path, capsys, item, name):
+        out = tmp_path / "o"
+        assert run(["generate", "--config", write_config(tmp_path), "--out", str(out), "--override", item]) == 2
+        assert f"override '{name}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "override", "config"])
+    def test_output_dir_resolution(self, tmp_path, monkeypatch, source):
+        # --out, else FEATGROUPS_OUT, else the config's output_dir
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        config = write_config(tmp_path, dict(TINY, output_dir="from_config"))
+        argv = ["generate", "--config", config]
+        if source == "flag":
+            argv += ["--out", "from_flag"]
+        if source in ("flag", "environment"):
+            monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, "from_environment")
+        if source == "override":
+            argv += ["--override", "output_dir=from_override"]
+        assert run(argv) == 0
+        written = sorted(path.parent.name for path in tmp_path.glob("*/dataset.bin"))
+        assert written == [f"from_{source}"]
+
+
 class TestTrain:
     def _generate(self, tmp_path, config):
         assert run(["generate", "--config", config, "--out", str(tmp_path / "run")]) == 0
@@ -238,6 +300,15 @@ class TestTrain:
         dataset.spec = None
         save_dataset(dataset, out / "dataset.bin", out / "dataset.json")
         assert run(["train", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    def test_sidecar_that_is_not_a_json_object_exits_1_naming_it(self, tmp_path, capsys, text):
+        config = write_config(tmp_path)
+        out = self._generate(tmp_path, config)
+        Path(out, "dataset.json").write_text(text)
+        assert run(["train", "--config", config, "--out", out]) == 1
+        assert "dataset.json" in capsys.readouterr().err
+        assert not Path(out, "results.json").exists()
 
     def test_seed_sweep(self, tmp_path):
         config = write_config(tmp_path)
@@ -559,6 +630,12 @@ class TestHistory:
         path.write_text('{"schema": "featgroups-history-v1", "epoch": 0, "membership": [[1]]}\nnot json\n')
         assert run(["history", str(path), "--out", str(tmp_path)]) == 2
         assert ":2:" in capsys.readouterr().err
+        # a membership that is not a (features, clusters) matrix
+        for member in ([1, 0], 5, [[]]):
+            record = {"schema": "featgroups-history-v1", "epoch": 1, "membership": member}
+            path.write_text('{"epoch": 0, "membership": [[1]]}\n' + json.dumps(record) + "\n")
+            assert run(["history", str(path), "--out", str(tmp_path)]) == 2
+            assert "history.jsonl:2:" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run(["history", str(tmp_path / "nope.jsonl")]) == 2

@@ -286,6 +286,13 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match=rf"d\.json: .*{problem}"):
             load_dataset(binary, side)
 
+    @pytest.mark.parametrize("text, where", [("not json", r"d\.json:1:1: "), ("[1, 2]", r"d\.json: ")])
+    def test_sidecar_that_is_not_a_json_object_is_named(self, tmp_path, text, where):
+        binary, side = self._saved(tmp_path)
+        side.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_dataset(binary, side)
+
     def test_sidecar_without_truth_groups_is_taken(self, tmp_path):
         binary, side = self._saved(tmp_path, truth_groups=[])
         assert load_dataset(binary, side).truth_groups == []

@@ -224,6 +224,22 @@ class TestTrainLoop:
         result = train(tiny_config(reg_weight=0.3), tiny_dataset())
         assert any(r.reg_loss > 0.0 for r in result.history)
 
+    @pytest.mark.parametrize("algorithm", ["kmeans", "fuzzy", "gmm"])
+    def test_soft_regularizer_trains_and_repeats(self, algorithm):
+        # the soft variant softmaxes `clustering.reg_basis`: distances under
+        # K-means, membership scores under fuzzy C-means and a diagonal GMM
+        config = tiny_config(reg_weight=0.3, reg_variant="soft", algorithm=algorithm, covariance_type="diagonal")
+        first, again = (train(config, tiny_dataset(samples=120)) for _ in range(2))
+        assert len(first.history) == 4
+        assert all(r.reg_loss > 0.0 for r in first.history)
+        assert [r.to_json() for r in first.history] == [r.to_json() for r in again.history]
+
+    def test_independent_feature_init_trains_and_repeats(self):
+        config = tiny_config(feature_init="independent")
+        first, again = (train(config, tiny_dataset()) for _ in range(2))
+        assert len(first.history) == 4
+        assert [r.to_json() for r in first.history] == [r.to_json() for r in again.history]
+
     def test_non_finite_training_loss_diverges_with_its_diagnostic(self):
         dataset = tiny_dataset()
         dataset.series[:, 0, 0] = np.nan  # poison every sample, any split
