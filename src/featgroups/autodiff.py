@@ -363,7 +363,7 @@ def scale_rows(x: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     Fused broadcast-multiply-add for per-feature linear embeddings of scalar
     inputs. Each input is repeated across its H outputs first, so the
     arithmetic runs over rows of F·H; the backward contracts the batch axes
-    with one matrix product instead of materializing full-size temporaries.
+    with matrix products instead of materializing full-size temporaries.
     """
     x = np.asarray(x, dtype=np.float64)
     if weight.shape != bias.shape or x.shape[-1] != weight.shape[0]:
@@ -378,9 +378,8 @@ def scale_rows(x: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
         flat_g = g.reshape(-1, f * h)
         gw = gb = None
         if _needs_grad(weight):
-            # (F, F·H) cross products; feature f's gradient is diagonal block f
-            cross = (flat_x.T @ flat_g).reshape(f, f, h)
-            gw = cross[np.arange(f), np.arange(f)]
+            # one (1, N) @ (N, H) product per feature: Σ_n x[n, f] g[n, f, :]
+            gw = (flat_x.T[:, None, :] @ flat_g.reshape(-1, f, h).transpose(1, 0, 2))[:, 0]
         if _needs_grad(bias):
             gb = _sum_rows(flat_g).reshape(f, h)
         return gw, gb

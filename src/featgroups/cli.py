@@ -154,7 +154,10 @@ def output_dir(args, config: dict) -> Path:
 
 
 def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True).encode()
+    """Hash of what decides the experiment: the schema and the dataset and
+    train sections, not where its outputs go."""
+    experiment = {key: config[key] for key in ("schema", "dataset", "train")}
+    canon = json.dumps(experiment, sort_keys=True).encode()
     return hashlib.sha256(canon).hexdigest()[:16]
 
 
@@ -403,6 +406,8 @@ def cmd_history(args) -> int:
             try:
                 record = json.loads(line)
                 epoch = record["epoch"]
+                if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+                    raise ValueError(f"epoch must be an int >= 0, got {epoch!r}")
                 member = np.asarray(record["membership"], dtype=np.int64)
                 if member.ndim != 2 or member.shape[1] == 0:
                     raise ValueError(f"membership must be a (features, clusters) matrix, got shape {member.shape}")
@@ -412,6 +417,8 @@ def cmd_history(args) -> int:
                 flow_rows.append((epoch, feature, int(member[feature].argmax())))
             for cluster in range(member.shape[1]):
                 size_rows.append((epoch, cluster, int(member[:, cluster].sum())))
+    if not size_rows:
+        raise ConfigError(f"{path}: no history records")
     out = Path(args.out) if args.out else path.parent
     out.mkdir(parents=True, exist_ok=True)
     flow_path = out / "cluster_flow.csv"

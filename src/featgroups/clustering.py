@@ -307,8 +307,9 @@ def _repair_starved(resp: np.ndarray, log_joint: np.ndarray, starved: np.ndarray
             resp[run + (point, component)] = 1.0
 
 
-def gmm_em_step(points: np.ndarray, state: ClusterState):
+def gmm_em_step(points: np.ndarray, state: ClusterState, moments: tuple | None = None):
     """One EM iteration. Returns (responsibilities, means, covariances, weights).
+    ``moments`` are the points' ``_moments``, built here when not given.
 
     A state of R stacked runs steps every run at once, each result gaining a
     leading R axis. A component with less than STARVED_MASS points of
@@ -321,7 +322,7 @@ def gmm_em_step(points: np.ndarray, state: ClusterState):
     k, d = state.centroids.shape[-2:]
     if points.shape[0] < k:
         raise ValueError(f"need at least K={k} points, got {points.shape[0]}")
-    centre, features = moments = _moments(points)
+    centre, features = moments = _moments(points) if moments is None else moments
     log_joint = _log_joint(moments, state)
     resp = _responsibilities(log_joint)
     mass = resp.sum(axis=-2)
@@ -607,15 +608,16 @@ def reg_basis(points: np.ndarray, state: ClusterState) -> np.ndarray:
     return score_points(points, state)
 
 
-def update_step(points: np.ndarray, state: ClusterState):
-    """One full iteration of the state's algorithm; returns (scores, new state)."""
+def update_step(points: np.ndarray, state: ClusterState, moments: tuple | None = None):
+    """One full iteration of the state's algorithm; returns (scores, new state).
+    A GMM step reads the points' ``_moments`` when given them."""
     if state.kind == "kmeans":
         scores, centroids = kmeans_assign_and_update(points, state)
         return scores, replace(state, centroids=centroids)
     if state.kind == "fuzzy":
         scores, centroids = fuzzy_memberships(points, state)
         return scores, replace(state, centroids=centroids)
-    scores, means, cov, weights = gmm_em_step(points, state)
+    scores, means, cov, weights = gmm_em_step(points, state, moments)
     return scores, replace(state, centroids=means, covariances=cov, weights=weights)
 
 
@@ -670,13 +672,15 @@ def converge(points: np.ndarray, state: ClusterState) -> ClusterState:
     The runs of a stacked state converge together: each iteration is one
     batched step over the runs still moving, and a run freezes once its own
     centroids settle, so it stops where it would alone. A single (K, D) state
-    converges as a stack of one run. The result carries no membership."""
+    converges as a stack of one run. A GMM builds the points' moments once,
+    for every iteration. The result carries no membership."""
     single = state.centroids.ndim == 2
+    moments = _moments(points) if state.kind == "gmm" else None
     out = _stack([state]) if single else state.copy()
     moving = np.arange(out.centroids.shape[0])
     for _ in range(CONVERGE_MAX_ITER):
         current = _runs(out, moving)
-        _, updated = update_step(points, current)
+        _, updated = update_step(points, current, moments)
         for name, array in _run_arrays(out).items():
             array[moving] = getattr(updated, name)
         moving = moving[~_settled(updated, current)]

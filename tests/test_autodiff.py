@@ -1,5 +1,7 @@
 """Gradient engine checks: hand-computable cases, finite differences, Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,22 @@ class TestFusedOps:
             return (h * h).mean() + (m * m).mean()
 
         assert gradcheck(loss, params, eps=1e-5) < 1e-5
+
+    def test_scale_rows_weight_gradient_is_per_feature_at_240_features(self):
+        # a wide_gmm chunk: 248 rows of 240 features, H = 6
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(248, 240))
+        w = Tensor(rng.normal(size=(240, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(240, 6)), requires_grad=True)
+        g = rng.normal(size=(248, 240, 6))
+        backward = scale_rows(x, w, b)._backward
+        tracemalloc.start()
+        gw, _ = backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1e6  # an (F, F·H) cross product alone is 2.78 MB
+        expected = np.stack([x[:, f] @ g[:, f, :] for f in range(240)])
+        assert np.abs(gw - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_fused_ops_match_composed_primitives(self):
         rng = np.random.default_rng(32)

@@ -546,6 +546,33 @@ class TestBenchmark:
         assert "dataset.json is stale: it was generated with seed 0, the config asks for 1" in err
         assert not (out / "benchmark.csv").exists()
 
+    def test_config_hash_ignores_where_the_outputs_go(self, tmp_path, monkeypatch):
+        # output_dir from the file, an override, --out or FEATGROUPS_OUT: one experiment, one hash
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        hashes = set()
+        for source in ("config", "override", "flag", "environment"):
+            body = dict(TINY, output_dir="from_config") if source == "config" else TINY
+            argv = ["benchmark", "--config", write_config(tmp_path, body), "--seeds", "0"]
+            if source == "override":
+                argv += ["--override", "output_dir=from_override"]
+            if source == "flag":
+                argv += ["--out", "from_flag"]
+            if source == "environment":
+                monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, "from_environment")
+            assert run(argv) == 0
+            hashes.add(json.loads((tmp_path / f"from_{source}" / "manifest.json").read_text())["config_hash"])
+        assert len(hashes) == 1
+
+    def test_config_hash_changes_with_every_dataset_and_train_field(self):
+        base = cli.default_config()
+        digest = cli.config_hash(base)
+        for section in ("dataset", "train"):
+            for field in base[section]:
+                changed = json.loads(json.dumps(base))
+                changed[section][field] = "changed"
+                assert cli.config_hash(changed) != digest, f"{section}.{field}"
+
     def test_partial_failure_marks_row_failed(self, tmp_path, monkeypatch):
         fail_static_baselines(monkeypatch)
         config = write_config(tmp_path)
@@ -636,6 +663,26 @@ class TestHistory:
             path.write_text('{"epoch": 0, "membership": [[1]]}\n' + json.dumps(record) + "\n")
             assert run(["history", str(path), "--out", str(tmp_path)]) == 2
             assert "history.jsonl:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epoch", ["x", None, True, -1, 1.5])
+    def test_epoch_not_a_non_negative_int_exits_2_with_line_number(self, tmp_path, capsys, epoch):
+        path = tmp_path / "history.jsonl"
+        record = json.dumps({"epoch": epoch, "membership": [[1]]})
+        path.write_text('{"epoch": 0, "membership": [[1]]}\n' + record + "\n")
+        out = tmp_path / "csv"
+        assert run(["history", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "history.jsonl:2:" in err and "epoch" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_file_without_records_exits_2_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "history.jsonl"
+        path.write_text(text)
+        out = tmp_path / "csv"
+        assert run(["history", str(path), "--out", str(out)]) == 2
+        assert "history.jsonl" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run(["history", str(tmp_path / "nope.jsonl")]) == 2

@@ -397,9 +397,9 @@ class StackedRuns:
         steps = []  # runs in each update_step call
         original = clustering.update_step
 
-        def counting(pts, state):
+        def counting(pts, state, moments=None):
             steps.append(len(state.centroids) if state.centroids.ndim == 3 else 1)
-            return original(pts, state)
+            return original(pts, state, moments)
 
         monkeypatch.setattr(clustering, "update_step", counting)
         together = converge(points, stacked(starts))
@@ -470,6 +470,22 @@ class TestBatchedGmm(StackedRuns):
 
     def assert_same(self, batched, alone):
         np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-10)
+
+    def test_builds_the_moments_once_per_converge(self, cov_type, monkeypatch):
+        points = self._points()
+        start = stacked(self._starts(points, cov_type))
+        calls = []
+        build = clustering._moments
+        monkeypatch.setattr(clustering, "_moments", lambda pts: calls.append(len(pts)) or build(pts))
+        once = converge(points, start)
+        assert calls == [len(points)]
+        # the reference: every EM step builds the moments itself
+        step = clustering.update_step
+        monkeypatch.setattr(clustering, "update_step", lambda pts, state, moments=None: step(pts, state))
+        per_step = converge(points, start)
+        assert len(calls) > 2
+        for name in ("centroids", "covariances", "weights"):
+            np.testing.assert_array_equal(getattr(once, name), getattr(per_step, name))
 
     def test_singular_run_raises_naming_run_and_component(self):
         points = self._points()
