@@ -399,6 +399,7 @@ def cmd_history(args) -> int:
         raise ConfigError(f"history file not found: {path}")
     flow_rows = []
     size_rows = []
+    last_epoch = -1
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -408,11 +409,17 @@ def cmd_history(args) -> int:
                 epoch = record["epoch"]
                 if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
                     raise ValueError(f"epoch must be an int >= 0, got {epoch!r}")
-                member = np.asarray(record["membership"], dtype=np.int64)
+                if epoch <= last_epoch:
+                    raise ValueError(f"epoch {epoch} must be greater than the previous record's {last_epoch}")
+                member = np.asarray(record["membership"])
                 if member.ndim != 2 or member.shape[1] == 0:
                     raise ValueError(f"membership must be a (features, clusters) matrix, got shape {member.shape}")
+                # a cluster may be empty, a feature may not
+                if member.dtype.kind != "i" or not np.isin(member, (0, 1)).all() or not member.any(axis=1).all():
+                    raise ValueError(f"membership must be 0/1 with a 1 in every feature's row, got {member.tolist()}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed history record ({exc})")
+            last_epoch = epoch
             for feature in range(member.shape[0]):
                 flow_rows.append((epoch, feature, int(member[feature].argmax())))
             for cluster in range(member.shape[1]):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor
 
+ALGORITHMS = ("kmeans", "fuzzy", "gmm")
 COMBINE_MODES = ("bias", "bias_sum_linear")
 MEMBERSHIP_MODES = ("hard", "soft")
 REG_VARIANTS = ("hard", "soft")
@@ -90,7 +91,7 @@ class ClusterState:
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.kind not in ("kmeans", "fuzzy", "gmm"):
+        if self.kind not in ALGORITHMS:
             raise ValueError(f"unknown clustering kind {self.kind!r}")
         if self.kind == "fuzzy" and (self.fuzzifier is None or self.fuzzifier <= 1.0):
             raise ValueError("fuzzy clustering needs fuzzifier m > 1")
@@ -380,12 +381,11 @@ def soft_membership(scores: np.ndarray, delta: float) -> np.ndarray:
     return member
 
 
-def membership_from_scores(scores: np.ndarray, mode: str, delta: float = 0.0) -> np.ndarray:
-    if mode == "hard":
-        return hard_membership(scores)
-    if mode == "soft":
-        return soft_membership(scores, delta)
-    raise ValueError(f"unknown membership mode {mode!r}, expected one of {MEMBERSHIP_MODES}")
+def membership_from_scores(scores: np.ndarray, options: ReclusterOptions) -> np.ndarray:
+    """The membership matrix that `options` derive from assignment scores."""
+    if options.membership == "soft":
+        return soft_membership(scores, options.delta)
+    return hard_membership(scores)
 
 
 # ----------------------------------------------------------------------
@@ -584,11 +584,22 @@ def reg_loss(
 
 @dataclass
 class ReclusterOptions:
+    """The settings of a reclustering call."""
+
     combine_mode: str = "bias_sum_linear"
     membership: str = "hard"  # hard | soft
     delta: float = 0.8  # soft threshold
     ema_decay: float = 0.0  # weight the old state keeps when the membership flips
     ema_rule: str = "moment_matching"
+
+    def __post_init__(self):
+        choices = (("membership", MEMBERSHIP_MODES), ("combine_mode", COMBINE_MODES), ("ema_rule", EMA_RULES))
+        for name, allowed in choices:
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        for name in ("ema_decay", "delta"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 def score_points(points: np.ndarray, state: ClusterState) -> np.ndarray:
@@ -778,11 +789,11 @@ def recluster(
         )
     _, best = converge_best(points, starts)
     updated = match_clusters(best, state.centroids)
-    member = membership_from_scores(score_points(points, updated), options.membership, options.delta)
+    member = membership_from_scores(score_points(points, updated), options)
     previous = state.membership
     if previous is not None and not np.array_equal(member, previous):
         damped = _ema_state(state, updated, options.ema_decay, options.ema_rule)
-        member = membership_from_scores(score_points(points, damped), options.membership, options.delta)
+        member = membership_from_scores(score_points(points, damped), options)
         updated = damped
     updated.membership = member
     return member, updated

@@ -14,7 +14,7 @@ so the group MLPs never see an empty input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,9 @@ FEATURE_INITS = ("shared", "independent")
 
 
 @dataclass
-class ModelConfig:
-    """Architecture hyperparameters. Every feature is numerical, so
-    ``feature_cards`` lists 1 per feature; it fixes the feature count."""
+class ModelSettings:
+    """Architecture hyperparameters, whatever the feature count."""
 
-    feature_cards: list[int]
     hidden: int = 6
     groups: int = 3
     agg_mode: str = "mean"
@@ -60,6 +58,17 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seq_width % self.seq_heads:
             raise ValueError(f"seq_width {self.seq_width} must be divisible by seq_heads {self.seq_heads}")
+
+
+@dataclass
+class ModelConfig(ModelSettings):
+    """The settings of one model. Every feature is numerical, so
+    ``feature_cards`` lists 1 per feature; it fixes the feature count."""
+
+    feature_cards: list[int] = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
         if any(cf != 1 for cf in self.feature_cards):
             raise ValueError(f"feature_cards must all be 1 (features are numerical), got {self.feature_cards}")
 

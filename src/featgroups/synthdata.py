@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class LabeledDataset:
     series: np.ndarray  # (N, T, F)
     labels: np.ndarray  # (N,), 0/1
     thresholds: tuple  # (kappa_12, kappa_34)
-    truth_groups: list = field(default_factory=lambda: [[0, 1], [2, 3], [4, 5]])
+    truth_groups: list  # feature ids of each ground-truth group
     spec: GpSpec | None = None
 
     @property

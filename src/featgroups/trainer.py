@@ -44,10 +44,8 @@ import numpy as np
 
 from .autodiff import AdamState, adam_step, stack
 from .clustering import (
-    COMBINE_MODES,
+    ALGORITHMS,
     COVARIANCE_TYPES,
-    EMA_RULES,
-    MEMBERSHIP_MODES,
     REG_VARIANTS,
     ClusterState,
     ReclusterOptions,
@@ -61,7 +59,7 @@ from .clustering import (
     unify,
 )
 from .metrics import ari, auprc, auroc, nmi, silhouette
-from .model import GroupedStepwiseModel, ModelConfig, supervised_loss
+from .model import GroupedStepwiseModel, ModelConfig, ModelSettings, supervised_loss
 from .synthdata import LabeledDataset
 
 RESULTS_SCHEMA = "featgroups-results-v1"
@@ -75,19 +73,12 @@ CHUNK_VALUES = 360_000
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything one training run depends on; JSON-round-trippable."""
+class ExperimentConfig(ModelSettings, ReclusterOptions):
+    """Everything one training run depends on; JSON-round-trippable. The
+    model's and the reclustering's settings are inherited, with their checks."""
 
     seed: int = 0
     val_fraction: float = 0.1
-    # model
-    hidden: int = 6
-    groups: int = 3
-    agg_mode: str = "mean"
-    psi: str = "mlp"
-    seq_width: int = 6
-    seq_heads: int = 2
-    positional_encoding: bool = False
     # optimization
     lr: float = 0.002
     epochs: int = 1000
@@ -97,21 +88,15 @@ class ExperimentConfig:
     grouping: str = "dynamic"  # dynamic | fixed
     fixed_groups: list | None = None  # per-feature cluster ids when fixed
     algorithm: str = "kmeans"  # kmeans | fuzzy | gmm
-    membership: str = "hard"  # hard | soft
-    delta: float = 0.8
-    combine_mode: str = "bias_sum_linear"
     init: str = "kmeanspp"  # kmeanspp | prior
     prior_groups: list | None = None  # per-feature cluster ids
     fuzzifier: float = 2.0
     covariance_type: str = "full"
-    ema_rule: str = "moment_matching"
     reg_weight: float = 0.0
     reg_variant: str = "hard"
-    ema_decay: float = 0.0
     recluster_every: int = 1
     recluster_unit: str = "epoch"  # epoch | batch | never
     standardize: bool = True  # z-score features with train-split statistics
-    feature_init: str = "shared"  # shared | independent embedding-weight init
 
     def __post_init__(self):
         for field in fields(self):
@@ -120,26 +105,20 @@ class ExperimentConfig:
             # a bool passes only a bool field, and a bool field takes only a bool
             if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
                 raise ValueError(f"{field.name} must be of type {field.type}, got {value!r}")
+        ModelSettings.__post_init__(self)
+        ReclusterOptions.__post_init__(self)
         for name, allowed in (
             ("grouping", ("dynamic", "fixed")),
-            ("algorithm", ("kmeans", "fuzzy", "gmm")),
+            ("algorithm", ALGORITHMS),
             ("init", ("kmeanspp", "prior")),
             ("recluster_unit", ("epoch", "batch", "never")),
-            ("membership", MEMBERSHIP_MODES),
-            ("combine_mode", COMBINE_MODES),
             ("covariance_type", COVARIANCE_TYPES),
-            ("ema_rule", EMA_RULES),
             ("reg_variant", REG_VARIANTS),
         ):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        for name, value in (
-            ("reg_weight", self.reg_weight),
-            ("ema_decay", self.ema_decay),
-            ("delta", self.delta),
-        ):
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not 0.0 <= self.reg_weight < 1.0:
+            raise ValueError(f"reg_weight must be in [0, 1), got {self.reg_weight}")
         for name, low in (("seed", 0), ("batch_size", 1), ("epochs", 1), ("patience", 0), ("recluster_every", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -148,7 +127,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be > {low}, got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
-        self.model_config(features=1)  # the model's own settings; the feature count is the dataset's
         name = self.given_grouping
         if name is not None:
             ids = getattr(self, name)
@@ -171,7 +149,7 @@ class ExperimentConfig:
 
     def model_config(self, features: int) -> ModelConfig:
         """The model this run trains on `features` numerical features."""
-        settings = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "feature_cards"}
+        settings = {f.name: getattr(self, f.name) for f in fields(ModelSettings)}
         return ModelConfig(feature_cards=[1] * features, **settings)
 
     def check_features(self, features: int):
@@ -316,7 +294,7 @@ def _init_clustering(config: ExperimentConfig, points, rng_init) -> ClusterState
     if config.init == "prior":
         return init_prior(points, _groups_to_matrix(config.prior_groups, config.groups), **algorithm)
     state = init_kmeanspp(points, config.groups, rng_init, **algorithm)
-    state.membership = membership_from_scores(score_points(points, state), config.membership, config.delta)
+    state.membership = membership_from_scores(score_points(points, state), config)
     return state
 
 
@@ -375,7 +353,6 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
 
     points = unify(model.feature_weight_arrays(), config.combine_mode)
     state = _init_clustering(config, points, rng_init)
-    recluster_options = ReclusterOptions(**{f.name: getattr(config, f.name) for f in fields(ReclusterOptions)})
     dynamic = config.grouping == "dynamic" and config.recluster_unit != "never"
     chunk_size = chunk_rows(x.shape[1], x.shape[2], config.hidden)
 
@@ -423,9 +400,9 @@ def train(config: ExperimentConfig, dataset: LabeledDataset) -> TrainResult:
             adam_step(params, adam, config.lr)
             step += 1
             if dynamic and config.recluster_unit == "batch" and step % config.recluster_every == 0:
-                _, state = recluster(model.feature_weight_arrays(), state, recluster_options, rng_recluster)
+                _, state = recluster(model.feature_weight_arrays(), state, config, rng_recluster)
         if dynamic and config.recluster_unit == "epoch" and (epoch + 1) % config.recluster_every == 0:
-            _, state = recluster(model.feature_weight_arrays(), state, recluster_options, rng_recluster)
+            _, state = recluster(model.feature_weight_arrays(), state, config, rng_recluster)
 
         metrics = _validate(model, state, state.membership, x_val, y_val, dataset, config)
         val_loss = metrics["val_loss"]

@@ -675,6 +675,31 @@ class TestHistory:
         assert "history.jsonl:2:" in err and "epoch" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "member",
+        [[[0, 0], [1, 0]], [[3, -1], [1, 0]], [[0.5, 0.5]]],
+        ids=["feature_in_no_cluster", "entries_out_of_range", "fractional_entries"],
+    )
+    def test_membership_not_a_0_1_matrix_covering_every_feature_exits_2(self, tmp_path, capsys, member):
+        path = tmp_path / "history.jsonl"
+        record = json.dumps({"epoch": 1, "membership": member})
+        path.write_text('{"epoch": 0, "membership": [[1]]}\n' + record + "\n")
+        out = tmp_path / "csv"
+        assert run(["history", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "history.jsonl:2:" in err and "membership" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", [[0, 1, 1], [0, 2, 1]], ids=["repeated", "falling"])
+    def test_epoch_not_above_the_previous_exits_2_with_line_number(self, tmp_path, capsys, epochs):
+        path = tmp_path / "history.jsonl"
+        path.write_text("".join(json.dumps({"epoch": e, "membership": [[1]]}) + "\n" for e in epochs))
+        out = tmp_path / "csv"
+        assert run(["history", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "history.jsonl:3:" in err and "epoch" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_file_without_records_exits_2_naming_it(self, tmp_path, capsys, text):
         path = tmp_path / "history.jsonl"

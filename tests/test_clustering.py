@@ -824,6 +824,22 @@ class TestRecluster:
         # bias row = point, so bias-mode unification recovers the point itself
         return [np.vstack([np.zeros((1, len(p))), p[None, :]]) for p in points]
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("combine_mode", "sum"),
+            ("membership", "fuzzy"),
+            ("ema_rule", "average"),
+            ("delta", 1.0),
+            ("delta", -0.1),
+            ("ema_decay", 1.0),
+            ("ema_decay", -0.5),
+        ],
+    )
+    def test_options_reject_an_invalid_setting_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ReclusterOptions(**{name: value})
+
     def test_fixed_point_keeps_everything(self):
         points = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 4.0], [4.0, 4.0]])
         weights = self._weights_from_points(points)

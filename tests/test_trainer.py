@@ -296,6 +296,20 @@ class TestGroupingRecord:
         assert member is state.membership
         assert result.history[-1].membership == member.astype(int).tolist()
 
+    def test_recluster_reads_the_run_config_itself(self, monkeypatch):
+        seen = []
+        original = trainer.recluster
+
+        def recording_recluster(weights, state, options, rng):
+            seen.append(options)
+            return original(weights, state, options, rng)
+
+        monkeypatch.setattr(trainer, "recluster", recording_recluster)
+        config = tiny_config(epochs=2, patience=2)
+        train(config, tiny_dataset())
+        assert len(seen) == 2
+        assert all(options is config for options in seen)
+
 
 def emptied_group_steps(monkeypatch):
     """Adam's (grad, parameter, m, v) per parameter name at each of a run's
