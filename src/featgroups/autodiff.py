@@ -2,9 +2,12 @@
 
 The engine is define-by-run: every operation on a :class:`Tensor` appends a
 node to an implicit tape, and ``loss.backward()`` walks the tape in reverse
-topological order exactly once. Only float64 is supported; broadcasting is
-limited to aligning a smaller operand against the trailing axes of a larger
-one (leading batch dimensions), which keeps the op set small enough to audit.
+topological order exactly once. Only float64 is supported. Operands
+broadcast as numpy's do: a smaller operand aligns against the trailing axes
+of a larger one, and a size-1 axis stretches to the other operand's length
+(the model's ``(B, T, K, 1)`` attention weights, the regularizer's
+``(F, 1, D) - (1, K, D)`` distances); the backward sums the gradient back
+over both kinds of broadcast axis.
 
 The traversal order is a deterministic function of graph construction order,
 so seeded runs accumulate gradients in a fixed order and are bit-reproducible.
@@ -33,7 +36,7 @@ class ShapeError(ValueError):
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to `shape`, undoing leading-axis broadcasting."""
+    """Sum a gradient down to `shape`, undoing broadcasting over leading and size-1 axes."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)

@@ -400,6 +400,7 @@ def cmd_history(args) -> int:
     flow_rows = []
     size_rows = []
     last_epoch = -1
+    shape = None  # the first record's (features, clusters)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -414,12 +415,14 @@ def cmd_history(args) -> int:
                 member = np.asarray(record["membership"])
                 if member.ndim != 2 or member.shape[1] == 0:
                     raise ValueError(f"membership must be a (features, clusters) matrix, got shape {member.shape}")
+                if shape is not None and member.shape != shape:
+                    raise ValueError(f"membership shape {member.shape} differs from the first record's {shape}")
                 # a cluster may be empty, a feature may not
                 if member.dtype.kind != "i" or not np.isin(member, (0, 1)).all() or not member.any(axis=1).all():
                     raise ValueError(f"membership must be 0/1 with a 1 in every feature's row, got {member.tolist()}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed history record ({exc})")
-            last_epoch = epoch
+            last_epoch, shape = epoch, member.shape
             for feature in range(member.shape[0]):
                 flow_rows.append((epoch, feature, int(member[feature].argmax())))
             for cluster in range(member.shape[1]):

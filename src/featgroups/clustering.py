@@ -24,6 +24,8 @@ import numpy as np
 
 from .autodiff import Tensor
 
+# a checkpoint stores an algorithm or covariance type as its index in these
+# tuples, so a new name goes at the end
 ALGORITHMS = ("kmeans", "fuzzy", "gmm")
 COMBINE_MODES = ("bias", "bias_sum_linear")
 MEMBERSHIP_MODES = ("hard", "soft")
@@ -533,12 +535,6 @@ def ema_gaussian(old: tuple, new: tuple, alpha: float, rule: str = "moment_match
 # ----------------------------------------------------------------------
 
 
-def _pairwise_norms(u: Tensor, centroids: np.ndarray) -> Tensor:
-    f, d = u.shape
-    diff = u.reshape(f, 1, d) - Tensor(centroids.reshape(1, -1, d))
-    return ((diff * diff).sum(axis=2)).sqrt()
-
-
 def reg_loss(
     u: Tensor,
     membership_or_scores: np.ndarray,
@@ -564,17 +560,17 @@ def reg_loss(
         return Tensor(DEGENERATE_LOSS), True
     mat = np.asarray(membership_or_scores, dtype=np.float64)
     f, d = u.shape
-    if variant == "hard":
-        norms = _pairwise_norms(u, centroids)
-        intra = (norms * Tensor(mat)).sum() * (1.0 / k)
-    else:
+    points = u.reshape(f, 1, d)
+    if variant == "soft":
         shifted = mat - mat.max(axis=1, keepdims=True)
         soft = np.exp(shifted)
         soft /= soft.sum(axis=1, keepdims=True)
-        scaled = u.reshape(f, 1, d) * Tensor(soft.reshape(f, k, 1))
-        diff = scaled - Tensor(centroids.reshape(1, k, d))
-        intra = ((diff * diff).sum(axis=2)).sqrt().sum() * (1.0 / k)
-    return intra * (1.0 / inter), False
+        points = points * Tensor(soft.reshape(f, k, 1))
+    diff = points - Tensor(centroids.reshape(1, k, d))
+    norms = ((diff * diff).sum(axis=2)).sqrt()
+    if variant == "hard":
+        norms = norms * Tensor(mat)
+    return norms.sum() * (1.0 / k) * (1.0 / inter), False
 
 
 # ----------------------------------------------------------------------

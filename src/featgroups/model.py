@@ -7,9 +7,9 @@ MLPs, the group embeddings are aggregated, and a small self-attention head
 over time produces one binary logit per series.
 
 Groups may become empty during training (the clustering is free to abandon a
-cluster); empty groups are skipped by the aggregation — they contribute a
-zero block under concatenation and are excluded from mean/attention pooling —
-so the group MLPs never see an empty input.
+cluster). An empty group runs on a group of zero constants in place of its
+parameters: it contributes a zero block under concatenation, is excluded
+from mean/attention pooling, and its own parameters get no gradient.
 """
 
 from __future__ import annotations
@@ -106,6 +106,19 @@ class GroupedStepwiseModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         h, s = config.hidden, config.seq_width
+
+        def param(name, fan_in, shape):
+            return Tensor(_linear_init(rng, fan_in, shape), requires_grad=True, name=name)
+
+        def mlp(prefix, n_in):
+            # a two-layer MLP from n_in to h units: (w1, b1, w2, b2)
+            return [
+                param(f"{prefix}/w1", n_in, (n_in, h)),
+                param(f"{prefix}/b1", n_in, (h,)),
+                param(f"{prefix}/w2", h, (h, h)),
+                param(f"{prefix}/b2", h, (h,)),
+            ]
+
         # each feature owns a (2, H) matrix: its weight row over its bias row
         if config.feature_init == "shared":
             # identical base plus a whisper of noise: every geometric
@@ -118,52 +131,33 @@ class GroupedStepwiseModel:
         self.feature_weights = [
             Tensor(w, requires_grad=True, name=f"feature/{f}/weight") for f, w in enumerate(starts)
         ]
-        self.psi_params = []
-        if config.psi == "mlp":
-            self.psi_params = [
-                Tensor(_linear_init(rng, h, (h, h)), requires_grad=True, name="psi/w1"),
-                Tensor(_linear_init(rng, h, (h,)), requires_grad=True, name="psi/b1"),
-                Tensor(_linear_init(rng, h, (h, h)), requires_grad=True, name="psi/w2"),
-                Tensor(_linear_init(rng, h, (h,)), requires_grad=True, name="psi/b2"),
-            ]
-        self.group_params = []
-        for k in range(config.groups):
-            self.group_params.append(
-                [
-                    Tensor(_linear_init(rng, 3 * h, (3 * h, h)), requires_grad=True, name=f"group/{k}/w1"),
-                    Tensor(_linear_init(rng, 3 * h, (h,)), requires_grad=True, name=f"group/{k}/b1"),
-                    Tensor(_linear_init(rng, h, (h, h)), requires_grad=True, name=f"group/{k}/w2"),
-                    Tensor(_linear_init(rng, h, (h,)), requires_grad=True, name=f"group/{k}/b2"),
-                ]
-            )
-        self.agg_query = None
-        if config.agg_mode == "attention":
-            self.agg_query = Tensor(_linear_init(rng, h, (h,)), requires_grad=True, name="agg/query")
+        self.psi_params = mlp("psi", h) if config.psi == "mlp" else []
+        self.group_params = [mlp(f"group/{k}", 3 * h) for k in range(config.groups)]
+        self.agg_query = param("agg/query", h, (h,)) if config.agg_mode == "attention" else None
         d_in = config.aggregated_width
-        self.seq_params = {
-            "proj_w": Tensor(_linear_init(rng, d_in, (d_in, s)), requires_grad=True, name="seq/proj_w"),
-            "proj_b": Tensor(_linear_init(rng, d_in, (s,)), requires_grad=True, name="seq/proj_b"),
-        }
+        self.seq_params = {}
+
+        def seq(key, fan_in, shape):
+            self.seq_params[key] = param(f"seq/{key}", fan_in, shape)
+
+        seq("proj_w", d_in, (d_in, s))
+        seq("proj_b", d_in, (s,))
         for gate in ("q", "k", "v", "o"):
-            self.seq_params[f"w{gate}"] = Tensor(
-                _linear_init(rng, s, (s, s)), requires_grad=True, name=f"seq/w{gate}"
-            )
+            seq(f"w{gate}", s, (s, s))
             if gate == "k":
                 # a key bias shifts every attention score in a query row by the
                 # same amount, which softmax cancels: dead parameter, omitted
                 continue
-            self.seq_params[f"b{gate}"] = Tensor(
-                _linear_init(rng, s, (s,)), requires_grad=True, name=f"seq/b{gate}"
-            )
-        self.seq_params["ffn_w1"] = Tensor(_linear_init(rng, s, (s, s)), requires_grad=True, name="seq/ffn_w1")
-        self.seq_params["ffn_b1"] = Tensor(_linear_init(rng, s, (s,)), requires_grad=True, name="seq/ffn_b1")
-        self.seq_params["ffn_w2"] = Tensor(_linear_init(rng, s, (s, s)), requires_grad=True, name="seq/ffn_w2")
-        self.seq_params["ffn_b2"] = Tensor(_linear_init(rng, s, (s,)), requires_grad=True, name="seq/ffn_b2")
+            seq(f"b{gate}", s, (s,))
+        seq("ffn_w1", s, (s, s))
+        seq("ffn_b1", s, (s,))
+        seq("ffn_w2", s, (s, s))
+        seq("ffn_b2", s, (s,))
         for ln in ("ln1", "ln2", "ln3"):
-            self.seq_params[f"{ln}_g"] = Tensor(np.ones(s), requires_grad=True, name=f"seq/{ln}_g")
-            self.seq_params[f"{ln}_b"] = Tensor(np.zeros(s), requires_grad=True, name=f"seq/{ln}_b")
-        self.seq_params["out_w"] = Tensor(_linear_init(rng, s, (s, 1)), requires_grad=True, name="seq/out_w")
-        self.seq_params["out_b"] = Tensor(_linear_init(rng, s, (1,)), requires_grad=True, name="seq/out_b")
+            for key, start in ((f"{ln}_g", np.ones(s)), (f"{ln}_b", np.zeros(s))):
+                self.seq_params[key] = Tensor(start, requires_grad=True, name=f"seq/{key}")
+        seq("out_w", s, (s, 1))
+        seq("out_b", s, (1,))
 
     # ------------------------------------------------------------------
 
@@ -227,15 +221,13 @@ class GroupedStepwiseModel:
         active = np.flatnonzero(sizes)
         # column block k of the pooling matrix averages group k's members
         pool = np.kron(membership / np.maximum(sizes, 1.0), np.eye(hidden))
-        # the K group MLPs run as block-diagonal layers. An empty group gets
-        # zero blocks: its output is zero and its parameters stay off the tape
-        zero = Tensor(np.zeros((hidden, hidden)))
-        params = [p if sizes[k] else None for k, p in enumerate(self.group_params)]
-        w1 = [
-            block_diag([zero if p is None else p[0][part * hidden : (part + 1) * hidden] for p in params])
-            for part in range(3)
-        ]
-        b1 = concat([Tensor(np.zeros(hidden)) if p is None else p[1] for p in params])
+        # the K group MLPs run as block-diagonal layers. An empty group runs on
+        # a group of zero constants: its output is zero and its parameters
+        # stay off the tape
+        zeros = [Tensor(np.zeros(p.shape)) for p in self.group_params[0]]
+        params = [p if sizes[k] else zeros for k, p in enumerate(self.group_params)]
+        w1 = [block_diag([p[0][part * hidden : (part + 1) * hidden] for p in params]) for part in range(3)]
+        b1 = concat([p[1] for p in params])
         hidden_units = moment_layer(h.reshape(b * t, f * hidden), pool, w1, b1).relu()
         return self._aggregate(hidden_units, params, active, b, t)
 
@@ -243,23 +235,23 @@ class GroupedStepwiseModel:
         """Second group-MLP layer plus aggregation over the non-empty groups."""
         mode = self.config.agg_mode
         h = self.config.hidden
-        zero_w, zero_b = Tensor(np.zeros((h, h))), Tensor(np.zeros(h))
         if mode == "mean":
             # the mean of the group outputs, folded into one (K·H, H) layer
             n = 1.0 / active.size
-            w2 = concat([zero_w if p is None else p[2] for p in params]) * n
+            w2 = concat([p[2] for p in params]) * n
             b2 = params[active[0]][3]
             for k in active[1:]:
                 b2 = b2 + params[k][3]
             return linear(hidden_units, w2, b2 * n).reshape(b, t, h)
-        w2 = block_diag([zero_w if p is None else p[2] for p in params])
-        b2 = concat([zero_b if p is None else p[3] for p in params])
+        w2 = block_diag([p[2] for p in params])
+        b2 = concat([p[3] for p in params])
         outputs = linear(hidden_units, w2, b2).reshape(b, t, len(params), h)
         if mode == "concat":
             return outputs.reshape(b, t, len(params) * h)
         # an empty group's score of -inf gives its (zero) output weight 0
-        mask = Tensor(np.where([p is None for p in params], -np.inf, 0.0))
-        scores = (outputs * self.agg_query).sum(axis=3) * (1.0 / np.sqrt(h)) + mask
+        mask = np.full(len(params), -np.inf)
+        mask[active] = 0.0
+        scores = (outputs * self.agg_query).sum(axis=3) * (1.0 / np.sqrt(h)) + Tensor(mask)
         weights = scores.softmax(axis=2)
         return (outputs * weights.reshape(b, t, len(params), 1)).sum(axis=2)
 

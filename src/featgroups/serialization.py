@@ -13,7 +13,8 @@ Binary layout (all integers and floats little-endian):
 
 Checkpoints store model parameters under ``model/<name>`` and the clustering
 state under ``cluster/<field>``; non-numeric state fields (algorithm kind,
-covariance type) travel as single-element code tensors. A GMM's
+covariance type) travel as single-element code tensors, each code the name's
+index in ``clustering.ALGORITHMS`` or ``clustering.COVARIANCE_TYPES``. A GMM's
 ``cluster/covariances`` is (K, D, D) for every covariance type.
 
 Every artifact is written through :func:`atomic_write`, so a reader sees the
@@ -29,14 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterState
+from .clustering import ALGORITHMS, COVARIANCE_TYPES, ClusterState
 
 MAGIC = b"FGT1"
-
-KIND_CODES = {"kmeans": 0, "fuzzy": 1, "gmm": 2}
-KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
-COV_CODES = {"spherical": 0, "diagonal": 1, "full": 2, "tied": 3}
-COV_NAMES = {v: k for k, v in COV_CODES.items()}
 
 
 @contextmanager
@@ -104,11 +100,11 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
 def cluster_state_tensors(state: ClusterState) -> dict[str, np.ndarray]:
     out = {
-        "cluster/kind_code": np.array([KIND_CODES[state.kind]], dtype=np.float64),
+        "cluster/kind_code": np.array([ALGORITHMS.index(state.kind)], dtype=np.float64),
         "cluster/centroids": state.centroids,
     }
     if state.kind == "gmm":
-        out["cluster/covtype_code"] = np.array([COV_CODES[state.covariance_type]], dtype=np.float64)
+        out["cluster/covtype_code"] = np.array([COVARIANCE_TYPES.index(state.covariance_type)], dtype=np.float64)
         out["cluster/covariances"] = state.covariances
         out["cluster/weights"] = state.weights
     if state.kind == "fuzzy":
@@ -124,10 +120,10 @@ def _required(tensors: dict[str, np.ndarray], name: str, source) -> np.ndarray:
     return tensors[name]
 
 
-def _decoded(tensors: dict[str, np.ndarray], name: str, names: dict[int, str], source) -> str:
+def _decoded(tensors: dict[str, np.ndarray], name: str, names: tuple[str, ...], source) -> str:
     code = _required(tensors, name, source).ravel()
-    if code.size != 1 or code[0] not in names:
-        known = ", ".join(f"{c} ({n})" for c, n in names.items())
+    if code.size != 1 or code[0] not in range(len(names)):
+        known = ", ".join(f"{c} ({n})" for c, n in enumerate(names))
         raise ValueError(f"{source}: tensor {name!r} holds {code.tolist()}, expected one code of {known}")
     return names[int(code[0])]
 
@@ -136,7 +132,7 @@ def cluster_state_from_tensors(tensors: dict[str, np.ndarray], source="tensors")
     """The single-run clustering state stored in ``tensors``; a missing
     tensor, an unknown code or a malformed array raises ValueError naming
     ``source`` and the tensor."""
-    kind = _decoded(tensors, "cluster/kind_code", KIND_NAMES, source)
+    kind = _decoded(tensors, "cluster/kind_code", ALGORITHMS, source)
     centroids = _required(tensors, "cluster/centroids", source)
     if centroids.ndim != 2:
         raise ValueError(f"{source}: tensor 'cluster/centroids' must be (K, D), got shape {centroids.shape}")
@@ -144,7 +140,7 @@ def cluster_state_from_tensors(tensors: dict[str, np.ndarray], source="tensors")
     if kind == "gmm":
         fields["covariances"] = _required(tensors, "cluster/covariances", source)
         fields["weights"] = _required(tensors, "cluster/weights", source)
-        fields["covariance_type"] = _decoded(tensors, "cluster/covtype_code", COV_NAMES, source)
+        fields["covariance_type"] = _decoded(tensors, "cluster/covtype_code", COVARIANCE_TYPES, source)
     if kind == "fuzzy":
         fields["fuzzifier"] = float(_required(tensors, "cluster/fuzzifier", source)[0])
     try:

@@ -690,6 +690,17 @@ class TestHistory:
         assert "history.jsonl:2:" in err and "membership" in err
         assert not out.exists()
 
+    def test_membership_shape_differing_from_the_first_record_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "history.jsonl"
+        record = json.dumps({"epoch": 1, "membership": [[1, 0], [0, 1], [1, 0]]})
+        path.write_text('{"epoch": 0, "membership": [[1]]}\n' + record + "\n")
+        out = tmp_path / "csv"
+        assert run(["history", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "history.jsonl:2:" in err and "membership" in err
+        assert "(3, 2)" in err and "(1, 1)" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("epochs", [[0, 1, 1], [0, 2, 1]], ids=["repeated", "falling"])
     def test_epoch_not_above_the_previous_exits_2_with_line_number(self, tmp_path, capsys, epochs):
         path = tmp_path / "history.jsonl"

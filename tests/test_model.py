@@ -9,6 +9,7 @@ from featgroups.clustering import reg_loss, unify
 from featgroups.model import (
     GroupedStepwiseModel,
     ModelConfig,
+    _linear_init,
     sinusoidal_positions,
     supervised_loss,
 )
@@ -171,6 +172,23 @@ class TestGroupEmbed:
         assert not np.allclose(g_soft[..., hidden:], g_hard[..., hidden:])
 
 
+    @pytest.mark.parametrize("agg_mode", ["mean", "concat", "attention"])
+    def test_empty_group_parameters_stay_off_the_tape(self, agg_mode):
+        # group 2 of 3 is empty: it runs on zeros, so its parameters get no
+        # gradient and their values cannot reach the output
+        model = make_model(agg_mode=agg_mode, groups=3)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 4))
+        member = hard_groups([0, 1, 0, 1], 3)
+        logits = model.forward(x, member)
+        supervised_loss(logits, np.array([0.0, 1.0])).backward()
+        for p in model.group_params[2]:
+            assert p.grad is None, p.name
+        for p in model.group_params[2]:
+            p.data = rng.normal(size=p.shape)
+        np.testing.assert_array_equal(model.forward(x, member).data, logits.data)
+
+
 class TestSequenceHead:
     def test_t1_runs_and_matches_constant_series(self):
         model = make_model()
@@ -274,6 +292,50 @@ class TestGradients:
         clone = make_model()
         clone.load_state_dict(state)
         np.testing.assert_array_equal(clone.forward(x, member).data, base)
+
+
+class TestParameters:
+    def test_named_parameters_order_is_the_checkpoint_layout(self):
+        model = make_model(psi="mlp", agg_mode="attention", groups=2)
+        names = [name for name, _ in model.named_parameters()]
+        assert names == [
+            "feature/0/weight", "feature/1/weight", "feature/2/weight", "feature/3/weight",
+            "psi/w1", "psi/b1", "psi/w2", "psi/b2",
+            "group/0/w1", "group/0/b1", "group/0/w2", "group/0/b2",
+            "group/1/w1", "group/1/b1", "group/1/w2", "group/1/b2",
+            "agg/query",
+            "seq/bo", "seq/bq", "seq/bv", "seq/ffn_b1", "seq/ffn_b2", "seq/ffn_w1", "seq/ffn_w2",
+            "seq/ln1_b", "seq/ln1_g", "seq/ln2_b", "seq/ln2_g", "seq/ln3_b", "seq/ln3_g",
+            "seq/out_b", "seq/out_w", "seq/proj_b", "seq/proj_w", "seq/wk", "seq/wo", "seq/wq", "seq/wv",
+        ]
+
+    def test_parameters_are_drawn_in_the_documented_order(self):
+        model = make_model(psi="mlp", agg_mode="attention", groups=2)
+        h, s, d_in = 3, model.config.seq_width, 3
+        rng = np.random.default_rng(0)
+        expected = {}
+        base = _linear_init(rng, 1, (2, h))
+        for f in range(4):
+            expected[f"feature/{f}/weight"] = base + 0.01 * rng.standard_normal((2, h))
+        for prefix, n_in in [("psi", h), ("group/0", 3 * h), ("group/1", 3 * h)]:
+            expected[f"{prefix}/w1"] = _linear_init(rng, n_in, (n_in, h))
+            expected[f"{prefix}/b1"] = _linear_init(rng, n_in, (h,))
+            expected[f"{prefix}/w2"] = _linear_init(rng, h, (h, h))
+            expected[f"{prefix}/b2"] = _linear_init(rng, h, (h,))
+        expected["agg/query"] = _linear_init(rng, h, (h,))
+        expected["seq/proj_w"] = _linear_init(rng, d_in, (d_in, s))
+        expected["seq/proj_b"] = _linear_init(rng, d_in, (s,))
+        for key in ["wq", "bq", "wk", "wv", "bv", "wo", "bo", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"]:
+            expected[f"seq/{key}"] = _linear_init(rng, s, (s, s) if "w" in key else (s,))
+        expected["seq/out_w"] = _linear_init(rng, s, (s, 1))
+        expected["seq/out_b"] = _linear_init(rng, s, (1,))
+        for ln in ("ln1", "ln2", "ln3"):
+            expected[f"seq/{ln}_g"] = np.ones(s)
+            expected[f"seq/{ln}_b"] = np.zeros(s)
+        state = model.state_dict()
+        assert sorted(state) == sorted(expected)
+        for name, value in expected.items():
+            np.testing.assert_array_equal(state[name], value, err_msg=name)
 
 
 class TestTapeSize:

@@ -144,6 +144,29 @@ class TestClusterState:
             read_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize(
+        "fields, kind_code, covtype_code",
+        [
+            (dict(kind="kmeans"), 0, None),
+            (dict(kind="fuzzy", fuzzifier=2.0), 1, None),
+            (dict(kind="gmm", covariance_type="spherical"), 2, 0),
+            (dict(kind="gmm", covariance_type="diagonal"), 2, 1),
+            (dict(kind="gmm", covariance_type="full"), 2, 2),
+            (dict(kind="gmm", covariance_type="tied"), 2, 3),
+        ],
+        ids=["kmeans", "fuzzy", "gmm-spherical", "gmm-diagonal", "gmm-full", "gmm-tied"],
+    )
+    def test_on_disk_codes_are_fixed(self, fields, kind_code, covtype_code):
+        # the codes are the file format: reordering the name tuples must fail here
+        if fields["kind"] == "gmm":
+            fields.update(covariances=np.broadcast_to(np.eye(2), (2, 2, 2)).copy(), weights=np.full(2, 0.5))
+        tensors = cluster_state_tensors(ClusterState(centroids=np.zeros((2, 2)), **fields))
+        np.testing.assert_array_equal(tensors["cluster/kind_code"], [kind_code])
+        if covtype_code is None:
+            assert "cluster/covtype_code" not in tensors
+        else:
+            np.testing.assert_array_equal(tensors["cluster/covtype_code"], [covtype_code])
+
     def test_fuzzy_roundtrip(self):
         state = ClusterState(kind="fuzzy", centroids=np.zeros((2, 2)), fuzzifier=2.5)
         clone = cluster_state_from_tensors(cluster_state_tensors(state))
